@@ -4,24 +4,24 @@
 // order, its order lines, and a new-order row, so the persistent-index
 // delta batch and the GC log — the bulk of the work the pipelined tail
 // moves off the submission path — are as large as the engine ever sees)
-// under Optane latency injection, once with the pipelined epoch tail
-// (enable_epoch_pipeline, the default) and once with the synchronous
-// barrier engine, at 1/2/4 workers.
+// under Optane latency injection, once by a pipelined caller (the epoch
+// tail overlaps the next epoch) and once by a barrier caller (ExecuteEpoch
+// followed by WaitIdle every epoch), at 1/2/4 workers.
 //
 // The headline metric is submission-path epochs/sec measured in CPU time:
 // for each epoch run against a quiesced engine, the process-CPU cost of
-// ExecuteEpoch plus the WaitIdle drain, minus the tail thread's own CPU
-// (PipelineStats.tail_cpu_ns — zero for the barrier engine, which has no
-// tail thread). That difference is exactly the work left on the submission
-// path: on a machine with a core to spare for the tail thread — the
-// deployment the pipeline targets — it is the submitter-visible epoch
-// latency. CPU time is used instead of wall clock because this container
+// ExecuteEpoch plus the WaitIdle drain. The pipelined caller subtracts the
+// tail thread's own CPU (PipelineStats.tail_cpu_ns): that difference is
+// exactly the work left on its submission path, and on a machine with a
+// core to spare for the tail thread — the deployment the pipeline targets —
+// it is the submitter-visible epoch latency. The barrier caller waits for
+// the tail every epoch, so the tail's CPU stays on its submission path. CPU time is used instead of wall clock because this container
 // shares its single CPU with a noisy neighborhood: wall-clock windows for
 // identical epochs vary by >2x with scheduler preemption (each sample's
 // wall window is still recorded in the JSON alongside, and hw_concurrency
 // says how believable wall-clock overlap is on the host that produced the
-// file). The barrier engine pays the tail on the submission path by
-// construction, so the pipelined engine must come out strictly faster by
+// file). The barrier caller pays the tail on the submission path by
+// construction, so the pipelined caller must come out strictly faster by
 // about the tail's CPU share; the bench asserts that and records it as
 // "pipelined_strictly_faster".
 //
@@ -30,12 +30,10 @@
 // barrier/pipelined pairs; the per-mode median over the samples decides
 // the comparison, and every sample lands in the JSON.
 //
-// The pipelined engine must not change what becomes durable. At 1 worker
-// the two engines' transaction streams are bit-identical and the bench
-// requires device write_bytes / persisted_lines / fences to match exactly
-// (persist_ops is excluded — the tail thread batches clwb ranges
-// differently than the inline tail, which is allowed: same lines, same
-// fences). At >1 workers TPC-C is not bit-deterministic across runs (the
+// Pipelining must not change what becomes durable. At 1 worker the two
+// engines' transaction streams are bit-identical and the bench requires
+// device write_bytes / persisted_lines / fences to match exactly
+// (persist_ops is not gated). At >1 workers TPC-C is not bit-deterministic across runs (the
 // per-district order-id counters draw in worker-arrival order), so the
 // ledger is only required to match within 0.1%.
 //
@@ -111,13 +109,13 @@ TpccConfig BenchTpccConfig(std::size_t total_epochs, std::size_t txns_per_epoch)
 
 // One engine under measurement. The two instances run identical streams:
 // TpccWorkload is seeded identically and MakeEpoch draws are consumed in
-// lockstep (one epoch per side per round).
+// lockstep (one epoch per side per round). A `barrier` engine's caller
+// waits for the tail after every epoch.
 struct Engine {
-  explicit Engine(std::size_t workers, bool pipelined, std::size_t total_epochs,
+  explicit Engine(std::size_t workers, bool barrier_caller, std::size_t total_epochs,
                   std::size_t txns_per_epoch)
-      : workload(BenchTpccConfig(total_epochs, txns_per_epoch)) {
+      : barrier(barrier_caller), workload(BenchTpccConfig(total_epochs, txns_per_epoch)) {
     core::DatabaseSpec spec = workload.Spec(workers);
-    spec.enable_epoch_pipeline = pipelined;
     spec.enable_persistent_index = true;  // index deltas apply in the tail
     spec.gc_log_capacity = 1 << 17;
 
@@ -148,9 +146,18 @@ struct Engine {
     return static_cast<double>(db->ProfileReport().pipeline.tail_cpu_ns) / 1e6;
   }
 
+  // One untimed epoch, as this engine's caller runs it.
+  void Warmup(std::size_t txns) {
+    db->ExecuteEpoch(workload.MakeEpoch(txns));
+    if (barrier) {
+      RequireIdle();
+    }
+  }
+
   // Runs one epoch against the quiesced engine. The submission-path CPU is
-  // the process CPU consumed from submit to full quiesce, minus whatever
-  // the tail thread burned — work a dedicated tail core would absorb.
+  // the process CPU consumed from submit to full quiesce; a pipelined
+  // caller subtracts whatever the tail thread burned — work a dedicated
+  // tail core would absorb — while a barrier caller waits on it.
   void Sample(std::size_t txns, ModeStats& stats) {
     RequireIdle();
     const double tail_cpu_before = TailCpuMs();
@@ -161,12 +168,13 @@ struct Engine {
     RequireIdle();
     const double cpu_end = ProcessCpuMs();
     const auto idle = std::chrono::steady_clock::now();
-    const double tail_cpu = TailCpuMs() - tail_cpu_before;
+    const double tail_cpu = barrier ? 0 : TailCpuMs() - tail_cpu_before;
     stats.submit_cpu_ms.push_back(cpu_end - cpu_start - tail_cpu);
     stats.wall_ms.push_back(std::chrono::duration<double>(cut - start).count() * 1e3);
     stats.drain_ms.push_back(std::chrono::duration<double>(idle - cut).count() * 1e3);
   }
 
+  bool barrier;
   TpccWorkload workload;
   std::unique_ptr<sim::NvmDevice> device;
   std::unique_ptr<Database> db;
@@ -175,15 +183,15 @@ struct Engine {
 
 PairedRun Run(std::size_t workers, std::size_t txns_per_epoch) {
   const std::size_t total_epochs = kWarmupEpochs + kSamples;
-  Engine barrier(workers, /*pipelined=*/false, total_epochs, txns_per_epoch);
-  Engine pipelined(workers, /*pipelined=*/true, total_epochs, txns_per_epoch);
+  Engine barrier(workers, /*barrier=*/true, total_epochs, txns_per_epoch);
+  Engine pipelined(workers, /*barrier=*/false, total_epochs, txns_per_epoch);
 
   PairedRun run;
   run.workers = workers;
 
   for (std::size_t e = 0; e < kWarmupEpochs; ++e) {
-    barrier.db->ExecuteEpoch(barrier.workload.MakeEpoch(txns_per_epoch));
-    pipelined.db->ExecuteEpoch(pipelined.workload.MakeEpoch(txns_per_epoch));
+    barrier.Warmup(txns_per_epoch);
+    pipelined.Warmup(txns_per_epoch);
   }
 
   // Alternate the timed samples so host-load drift hits both modes equally.

@@ -88,23 +88,18 @@ void PersistentPool::PersistRingEntries(std::size_t core, std::size_t core_for_s
   cs.tail_persisted = cs.tail;
 }
 
-void PersistentPool::CheckpointCore(Epoch epoch, std::size_t core,
-                                    std::size_t core_for_stats) {
-  const std::size_t slot = epoch & 1;
-  CoreState& cs = state_[core];
-  PersistRingEntries(core, core_for_stats);
-  auto* meta = device_.As<MetaNvm>(MetaOffset(core));
-  meta->bump[slot] = cs.bump;
-  meta->head[slot] = cs.head;
-  meta->tail[slot] = cs.tail;
-  device_.Persist(MetaOffset(core), sizeof(MetaNvm), core_for_stats);
-  cs.head_at_ckpt = cs.head;
-  cs.tail_at_ckpt = cs.tail;
-}
-
 void PersistentPool::Checkpoint(Epoch epoch, std::size_t core_for_stats) {
+  const std::size_t slot = epoch & 1;
   for (std::size_t core = 0; core < cores_; ++core) {
-    CheckpointCore(epoch, core, core_for_stats);
+    CoreState& cs = state_[core];
+    PersistRingEntries(core, core_for_stats);
+    auto* meta = device_.As<MetaNvm>(MetaOffset(core));
+    meta->bump[slot] = cs.bump;
+    meta->head[slot] = cs.head;
+    meta->tail[slot] = cs.tail;
+    device_.Persist(MetaOffset(core), sizeof(MetaNvm), core_for_stats);
+    cs.head_at_ckpt = cs.head;
+    cs.tail_at_ckpt = cs.tail;
   }
 }
 

@@ -67,16 +67,10 @@ class PersistentPool {
   // the checkpointed tail). Called at the start of every epoch.
   void BeginEpoch();
 
-  // Persists the DRAM offsets into the parity slot for `epoch`, together
-  // with any unpersisted free-list ring entries. The caller issues the
-  // fence that makes the checkpoint durable.
+  // Persists every core's DRAM offsets into the parity slot for `epoch`,
+  // together with any unpersisted free-list ring entries. The caller issues
+  // the fence that makes the checkpoint durable.
   void Checkpoint(Epoch epoch, std::size_t core_for_stats);
-
-  // Checkpoints a single core's shard (ring entries + meta parity slot).
-  // The parallel epoch tail has worker w call CheckpointCore(epoch, w, w) so
-  // each worker persists exactly the shard it dirtied; Checkpoint() is the
-  // serial all-cores loop over this. Distinct cores may run concurrently.
-  void CheckpointCore(Epoch epoch, std::size_t core, std::size_t core_for_stats);
 
   // Value pool only: make the init-phase GC frees durable and advance
   // current_tail, allowing the execution phase to both reuse GC'd blocks

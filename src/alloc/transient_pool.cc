@@ -5,14 +5,10 @@
 namespace nvc::alloc {
 
 TransientPool::TransientPool(std::size_t cores, std::size_t chunk_bytes)
-    : chunk_bytes_(chunk_bytes) {
-  const std::size_t n = cores == 0 ? 1 : cores;
-  banks_[0].resize(n);
-  banks_[1].resize(n);
-}
+    : chunk_bytes_(chunk_bytes), arenas_(cores == 0 ? 1 : cores) {}
 
 void* TransientPool::Alloc(std::size_t core, std::size_t n) {
-  Arena& arena = banks_[active_][core];
+  Arena& arena = arenas_[core];
   n = AlignUp(n, 8);
   while (true) {
     if (arena.current_chunk < arena.chunks.size()) {
@@ -34,31 +30,19 @@ void* TransientPool::Alloc(std::size_t core, std::size_t n) {
   }
 }
 
-void TransientPool::ResetBank(std::size_t bank) {
-  for (Arena& arena : banks_[bank]) {
+void TransientPool::Reset() {
+  high_water_ = std::max(high_water_, bytes_allocated());
+  for (Arena& arena : arenas_) {
     arena.current_chunk = 0;
     arena.offset = 0;
     arena.allocated = 0;
   }
 }
 
-void TransientPool::Reset() {
-  high_water_ = std::max(high_water_, bytes_allocated());
-  ResetBank(active_);
-}
-
-void TransientPool::FlipBank() {
-  high_water_ = std::max(high_water_, bytes_allocated());
-  active_ ^= 1;
-  ResetBank(active_);
-}
-
 std::size_t TransientPool::bytes_allocated() const {
   std::size_t total = 0;
-  for (const std::vector<Arena>& bank : banks_) {
-    for (const Arena& arena : bank) {
-      total += arena.allocated;
-    }
+  for (const Arena& arena : arenas_) {
+    total += arena.allocated;
   }
   return total;
 }

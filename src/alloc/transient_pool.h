@@ -2,18 +2,14 @@
 //
 // Intermediate row versions and version arrays live only for the duration of
 // one epoch, so they are allocated from per-core bump allocators and the
-// whole pool is discarded at the end of the epoch by resetting the bump
-// offsets. Chunk memory is retained across epochs, so steady-state epochs
-// perform no malloc/free at all.
-//
-// The pool holds two banks of arenas for pipelined epochs (DESIGN.md section
-// 13): epoch N+1 flips to the other bank before its first allocation, so
-// epoch N's transient state stays intact and readable while N's persistence
-// tail is still in flight on the tail thread. Barrier-mode engines never
-// flip; they reset the active bank at epoch end exactly as before.
+// whole pool is discarded by resetting the bump offsets before the next
+// epoch's first allocation. Chunk memory is retained across epochs, so
+// steady-state epochs perform no malloc/free at all. Nothing reads an
+// epoch's transient state after its cut point — not its persistence tail
+// (DESIGN.md section 13), not the next epoch's overlapped front half — so
+// one bank suffices.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -32,29 +28,21 @@ class TransientPool {
   TransientPool(const TransientPool&) = delete;
   TransientPool& operator=(const TransientPool&) = delete;
 
-  // Allocates n bytes (8-byte aligned) from core's arena in the active bank.
-  // Never fails except by std::bad_alloc. Thread-safe across cores, not
-  // within one core.
+  // Allocates n bytes (8-byte aligned) from core's arena. Never fails except
+  // by std::bad_alloc. Thread-safe across cores, not within one core.
   void* Alloc(std::size_t core, std::size_t n);
 
-  // Discards every allocation in the active bank. Chunks are kept for reuse.
-  // Caller must guarantee no allocation is concurrently in flight.
+  // Discards every allocation. Chunks are kept for reuse. Caller must
+  // guarantee no allocation is concurrently in flight.
   void Reset();
 
-  // Pipelined epochs: makes the other bank active and discards its previous
-  // contents (they belong to the epoch before last, whose tail has joined).
-  // The outgoing bank's allocations stay valid until the next flip. Caller
-  // must guarantee no allocation is concurrently in flight.
-  void FlipBank();
-
-  // Bytes handed out and still live across both banks (DRAM footprint
-  // accounting).
+  // Bytes handed out and still live (DRAM footprint accounting).
   std::size_t bytes_allocated() const;
 
   // High-water mark across all epochs (figure 8 reports the pool footprint).
   std::size_t high_water_bytes() const { return high_water_; }
 
-  std::size_t cores() const { return banks_[0].size(); }
+  std::size_t cores() const { return arenas_.size(); }
 
  private:
   struct Chunk {
@@ -68,11 +56,8 @@ class TransientPool {
     std::size_t allocated = 0;
   };
 
-  void ResetBank(std::size_t bank);
-
   std::size_t chunk_bytes_;
-  std::array<std::vector<Arena>, 2> banks_;
-  std::size_t active_ = 0;
+  std::vector<Arena> arenas_;
   std::size_t high_water_ = 0;
 };
 

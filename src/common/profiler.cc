@@ -395,7 +395,7 @@ void PhaseProfiler::WriteChromeTrace(std::ostream& os) const {
                         static_cast<std::uint32_t>(w) + 2, span.epoch, nullptr);
     }
   }
-  // Tail track: asynchronous persistence tails (pipelined epochs).
+  // Tail track: the epochs' asynchronous persistence tails.
   for (const PhaseSpan& span : tail_spans_) {
     EmitCompleteEvent(os, first, PhaseName(span.phase),
                       static_cast<double>(span.start_ns) / 1e3,

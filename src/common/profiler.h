@@ -46,16 +46,17 @@ enum class Phase : std::uint8_t {
   kAppendCollect,  // batch append sub-phase 1: intent collection
   kAppendBuild,    // batch append sub-phase 2: version-array builds
   kExecute,        // PWV execution + final-write checkpointing
-  kCheckpoint,     // pool/index checkpoints, counters, epoch persist
-  kGcLog,          // persisted major-GC list (persistent-index runs)
-  kFinish,         // transient pool reset
+  kCheckpoint,     // synchronous epoch checkpoint (load, instant-recovery
+                   // finish); per-epoch tails record kTailPersist
+  kGcLog,          // persisted major-GC list: written inside kTailPersist,
+                   // so not recorded; kept because reports name it
   kRecoveryBackfill,  // instant-recovery redo: on-demand + background sweep
-  kTailPersist,    // pipelined epochs: asynchronous persistence tail, timed
+  kTailPersist,    // the epochs' asynchronous persistence tail, timed
                    // on the tail thread (no op attribution — the concurrent
                    // foreground would pollute device-counter deltas)
   kOther,          // synthetic: in-epoch work outside any bracketed phase
 };
-inline constexpr std::size_t kPhaseCount = 15;
+inline constexpr std::size_t kPhaseCount = 14;
 
 constexpr const char* PhaseName(Phase phase) {
   switch (phase) {
@@ -70,7 +71,6 @@ constexpr const char* PhaseName(Phase phase) {
     case Phase::kExecute: return "execute";
     case Phase::kCheckpoint: return "checkpoint";
     case Phase::kGcLog: return "gc-log";
-    case Phase::kFinish: return "finish";
     case Phase::kRecoveryBackfill: return "recovery-backfill";
     case Phase::kTailPersist: return "tail-persist";
     case Phase::kOther: return "other";

@@ -334,11 +334,9 @@ EpochResult Database::ExecuteEpochAria(std::vector<std::unique_ptr<txn::Transact
   // previous epoch's snapshot and buffer writes privately, so they overlap
   // the previous epoch's persistence tail along with the log encode. The
   // init-phase NVMM work (major GC, eviction, demotions) runs after the
-  // commit phase in BOTH modes — identical phase order keeps the pipelined
-  // and barrier engines' NVM traffic byte-identical — and waits for the tail
-  // under pipelining, as does everything from the apply phase on.
-  const bool pipelined = spec_.enable_epoch_pipeline && !replaying_;
-  if (pipelined && !tail_thread_.joinable()) {
+  // commit phase and waits for the tail, as does everything from the apply
+  // phase on.
+  if (!tail_thread_.joinable()) {
     nvm_mirror_snapshot_ = device_.stats().Snapshot();
     tail_thread_ = std::thread(&Database::TailThreadMain, this);
   }
@@ -366,9 +364,6 @@ EpochResult Database::ExecuteEpochAria(std::vector<std::unique_ptr<txn::Transact
 
   EpochResult result;
   result.epoch = epoch;
-  // Per executed slot (deferred-carryover transactions first); delivered to
-  // the epoch callback once the epoch number is durable.
-  std::vector<TxnOutcome> outcomes;
   try {
     if (ModeLogsInputs(spec_.mode) && !replaying_) {
       last_log_bytes_ = log_->LogEpoch(epoch, owned_txns_, 0);
@@ -453,13 +448,11 @@ EpochResult Database::ExecuteEpochAria(std::vector<std::unique_ptr<txn::Transact
 
     // Everything below mutates state the previous epoch's tail reads (pool
     // allocator meta, core_state_ GC lists, index deltas): wait for it.
-    if (pipelined) {
-      if (!JoinTail()) {
-        result.crashed = true;
-        return result;
-      }
-      transient_.FlipBank();
+    if (!JoinTail()) {
+      result.crashed = true;
+      return result;
     }
+    transient_.Reset();
 
     for (auto& pool : value_pools_) {
       pool->BeginEpoch();
@@ -557,7 +550,10 @@ EpochResult Database::ExecuteEpochAria(std::vector<std::unique_ptr<txn::Transact
     MaybeCrash(CrashSite::kAfterExecution);
 
     // Deferred transactions carry over to the next batch, keeping order.
+    // Outcomes are per executed slot (deferred-carryover transactions first)
+    // and reach the epoch callback once the epoch number is durable.
     std::vector<std::unique_ptr<txn::Transaction>> still_deferred;
+    std::vector<TxnOutcome> outcomes;
     outcomes.reserve(states.size());
     for (std::size_t i = 0; i < states.size(); ++i) {
       const AriaTxnState& st = states[i];
@@ -583,44 +579,25 @@ EpochResult Database::ExecuteEpochAria(std::vector<std::unique_ptr<txn::Transact
       cs.deleted.clear();
     }
 
-    if (pipelined) {
-      // Cut point: hand the persistence tail to the tail thread. The
-      // execute phase's lines move to the detached set so the next epoch's
-      // overlapped front cannot retire them with its own fences.
-      device_.DetachPending();
-      aria_deferred_ = std::move(still_deferred);
-      owned_txns_.clear();
-      current_epoch_ = epoch;
-      result.seconds = SecondsSince(start);
-      TailWork work;
-      work.epoch = epoch;
-      work.result = result;
-      work.outcomes = std::move(outcomes);
-      work.has_outcomes = true;
-      SubmitTail(std::move(work));
-      return result;
-    }
-
-    CheckpointEpoch(epoch);
-    FinishEpoch();
+    // Cut point: hand the persistence tail to the tail thread. The
+    // execute phase's lines move to the detached set so the next epoch's
+    // overlapped front cannot retire them with its own fences.
+    device_.DetachPending();
     aria_deferred_ = std::move(still_deferred);
+    owned_txns_.clear();
     current_epoch_ = epoch;
+    result.seconds = SecondsSince(start);
+    TailWork work;
+    work.epoch = epoch;
+    work.result = result;
+    work.outcomes = std::move(outcomes);
+    SubmitTail(std::move(work));
+    return result;
   } catch (const CrashedException&) {
-    if (pipelined) {
-      JoinTail();  // quiesce the in-flight tail before the harness crashes us
-    }
+    JoinTail();  // quiesce the in-flight tail before the harness crashes us
     result.crashed = true;
     return result;
   }
-
-  result.seconds = SecondsSince(start);
-  {
-    std::lock_guard<std::mutex> lock(callback_mu_);
-    if (epoch_callback_) {
-      epoch_callback_(result, outcomes);
-    }
-  }
-  return result;
 }
 
 }  // namespace nvc::core

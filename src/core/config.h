@@ -168,27 +168,6 @@ struct DatabaseSpec {
   // of a cold device) still live in the constructor, which calls this first.
   // Defined in database.cc.
   Status Validate() const;
-
-  // Parallel epoch tail (DESIGN.md section 10). When enabled, the durability
-  // tail of ExecuteEpoch — input-log serialization, cold-tier demotion, pool
-  // checkpoints, persistent-index delta application, and GC-log assembly —
-  // fans out over the worker pool instead of running serially on core 0,
-  // with one cross-core barrier fence wherever the serial tail fenced once.
-  // Disabling it restores the serial tail (A/B benchmarking, oracle tests).
-  bool enable_parallel_tail = true;
-
-  // Epoch pipelining (DESIGN.md section 13). When enabled, the persistence
-  // tail of epoch N — checkpoint shards, persistent-index delta apply,
-  // GC-log assembly, counter persists and the epoch-number flip — runs on a
-  // dedicated tail thread while epoch N+1 begins: its input-log/digest
-  // encode always overlaps, and under Aria the execute and commit phases
-  // overlap too (they only read the previous epoch's snapshot and buffer
-  // writes privately). Phases that mutate NVMM (insert/GC/demotion/append/
-  // apply) still wait for N's header flip, preserving the exact
-  // crash-ordering invariants; NVM line/byte/fence counts are identical to
-  // the barrier engine. Disabling it restores the fully synchronous epoch
-  // loop.
-  bool enable_epoch_pipeline = true;
 };
 
 }  // namespace nvc::core

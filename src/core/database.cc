@@ -18,15 +18,12 @@ constexpr Sid kLoadSid(1, 1);
 }  // namespace
 
 Status DatabaseSpec::Validate() const {
-  if (workers == 0 || workers > kMaxCores) {
+  // Device core `workers` is the epoch tail's, so workers stays below
+  // kMaxCores.
+  if (workers == 0 || workers >= kMaxCores) {
     return Status::InvalidArgument("spec.workers must be in [1, " +
-                                   std::to_string(kMaxCores) + "], got " +
+                                   std::to_string(kMaxCores) + "), got " +
                                    std::to_string(workers));
-  }
-  if (enable_epoch_pipeline && workers >= kMaxCores) {
-    return Status::InvalidArgument(
-        "enable_epoch_pipeline requires workers < " + std::to_string(kMaxCores) +
-        ": the tail thread persists at device core index `workers`");
   }
   for (const TableSpec& table : tables) {
     if (table.row_size < vstore::kRowHeaderSize) {
@@ -249,6 +246,7 @@ Database::Database(sim::NvmDevice& device, const DatabaseSpec& spec,
       layout_(ComputeLayout(spec)),
       pool_(spec.workers),
       transient_(spec.workers),
+      load_rr_(spec.tables.size(), 0),
       core_state_(spec.workers),
       pending_major_gc_(spec.workers),
       scratch_(spec.workers) {
@@ -422,7 +420,7 @@ void Database::Format() {
 
 void Database::BulkLoad(TableId table, Key key, const void* data, std::uint32_t size) {
   assert(!loaded_ && "BulkLoad after FinalizeLoad");
-  const std::size_t core = load_rr_++ % spec_.workers;
+  const std::size_t core = load_rr_[table]++ % spec_.workers;
   const std::uint64_t prow_off = row_pools_[table]->Alloc(core);
   if (prow_off == 0) {
     throw std::runtime_error("BulkLoad: row pool exhausted for table " +
@@ -524,12 +522,6 @@ void Database::ReadVersionValue(vstore::PersistentRow& row, const vstore::Versio
     return;
   }
   row.ReadValue(desc, out, core);
-}
-
-void Database::FenceAll() {
-  for (std::size_t core = 0; core < spec_.workers; ++core) {
-    device_.Fence(core);
-  }
 }
 
 void Database::CheckTableId(TableId table) const {

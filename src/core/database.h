@@ -74,15 +74,13 @@ enum class TxnOutcome : std::uint8_t {
 
 // Durable-notify hook for epoch completion. Invoked *after* the epoch number
 // is persisted (the group-commit durability point) and never for a crashed
-// epoch. With enable_epoch_pipeline off it runs synchronously on the
-// ExecuteEpoch caller's thread; with pipelining on it runs on the internal
-// tail thread, strictly in epoch order, possibly concurrent with the next
-// epoch's ExecuteEpoch — the callback must be thread-safe against the
-// submitting thread. `outcomes` is indexed by executed-batch slot: under
-// Aria the batch is [previously deferred transactions in order, then the new
-// ones]; under Caracal it is exactly the input vector. The service front-end
-// (src/service/) uses this to resolve per-transaction tickets and measure
-// submit->durable latency.
+// epoch. It runs on the internal tail thread, strictly in epoch order,
+// possibly concurrent with the next epoch's ExecuteEpoch — the callback must
+// be thread-safe against the submitting thread. `outcomes` is indexed by
+// executed-batch slot: under Aria the batch is [previously deferred
+// transactions in order, then the new ones]; under Caracal it is exactly the
+// input vector. The service front-end (src/service/) uses this to resolve
+// per-transaction tickets and measure submit->durable latency.
 using EpochCallback =
     std::function<void(const EpochResult& result, const std::vector<TxnOutcome>& outcomes)>;
 
@@ -151,19 +149,15 @@ enum class CrashSite {
   kAfterExecution,
   kDuringIndexApply,   // between persistent-index delta applications
   kBeforeEpochPersist,
-  kMidParallelCheckpoint,  // parallel tail: between a worker's value-pool and
-                           // row-pool shard checkpoints (single-worker runs)
-  kMidParallelIndexApply,  // parallel tail: after a delta application, while
-                           // the shard batch is part-applied (single-worker)
   kMidInstantRecoveryOnDemand,  // instant recovery: before an on-demand key
                                 // redo triggered by a foreground access
   kMidBackfill,                 // instant recovery: between backfill keys
                                 // (crash while recovering from a crash)
-  kMidOverlapExecute,      // pipelined: inside epoch N+1's overlapped front
-                           // (after the log/digest encode) while epoch N's
-                           // tail may still be persisting
-  kMidOverlapTailPersist,  // pipelined: on the tail thread, between the
-                           // checkpoint shards and the index-delta apply
+  kMidOverlapExecute,      // inside epoch N+1's overlapped front (after the
+                           // log/digest encode) while epoch N's tail may
+                           // still be persisting
+  kMidOverlapTailPersist,  // in the persistence tail, between the pool
+                           // checkpoints and the index-delta apply
   kMidScanValidate,        // range scans: between a scan's key-interval
                            // collection and its read-back (Caracal execute
                            // phase) or before its phantom interval check
@@ -178,13 +172,12 @@ enum class CrashSite {
                             // hook, before the cross-shard barrier; never
                             // fired by the engine itself
 };
-inline constexpr std::size_t kCrashSiteCount = 21;
+inline constexpr std::size_t kCrashSiteCount = 19;
 inline constexpr CrashSite kAllCrashSites[kCrashSiteCount] = {
     CrashSite::kAfterLog,        CrashSite::kAfterInsert,   CrashSite::kDuringMajorGc,
     CrashSite::kDuringGcPass2,   CrashSite::kAfterGcPersist, CrashSite::kDuringDemotion,
     CrashSite::kAfterAppend,     CrashSite::kMidExecution,  CrashSite::kAfterExecution,
     CrashSite::kDuringIndexApply, CrashSite::kBeforeEpochPersist,
-    CrashSite::kMidParallelCheckpoint, CrashSite::kMidParallelIndexApply,
     CrashSite::kMidInstantRecoveryOnDemand, CrashSite::kMidBackfill,
     CrashSite::kMidOverlapExecute, CrashSite::kMidOverlapTailPersist,
     CrashSite::kMidScanValidate, CrashSite::kMidOrderedIndexRebuild,
@@ -204,8 +197,6 @@ constexpr const char* CrashSiteName(CrashSite site) {
     case CrashSite::kAfterExecution: return "AfterExecution";
     case CrashSite::kDuringIndexApply: return "DuringIndexApply";
     case CrashSite::kBeforeEpochPersist: return "BeforeEpochPersist";
-    case CrashSite::kMidParallelCheckpoint: return "MidParallelCheckpoint";
-    case CrashSite::kMidParallelIndexApply: return "MidParallelIndexApply";
     case CrashSite::kMidInstantRecoveryOnDemand: return "MidInstantRecoveryOnDemand";
     case CrashSite::kMidBackfill: return "MidBackfill";
     case CrashSite::kMidOverlapExecute: return "MidOverlapExecute";
@@ -302,24 +293,27 @@ class Database {
   };
   StatusOr<RecoveryPeek> PeekRecovery();
 
-  // Pre-Status shim; identical to Recover(registry).value().
-  [[deprecated("use Recover(), which returns StatusOr<RecoveryReport>")]]
-  RecoveryReport RecoverOrDie(const txn::TxnRegistry& registry) {
-    return Recover(registry).value();
-  }
-
   // Processes one epoch of transactions (batch = epoch, paper footnote 1).
-  // When an instant recovery is pending, first completes the crashed epoch's
-  // backfill and checkpoint (profiled as Phase::kRecoveryBackfill), so the
-  // new epoch observes fully-replayed state.
+  // Returns at the cut point, after execution: the epoch's persistence tail
+  // runs on an internal tail thread, overlapped with the next epoch's front
+  // half, and the epoch is durable once the epoch callback fires or
+  // WaitIdle() returns. When an instant recovery is pending, first completes
+  // the crashed epoch's backfill and checkpoint (profiled as
+  // Phase::kRecoveryBackfill), so the new epoch observes fully-replayed state.
   EpochResult ExecuteEpoch(std::vector<std::unique_ptr<txn::Transaction>> txns);
 
-  // Pipelined mode: blocks until the asynchronous persistence tail of the
-  // last executed epoch (if any) has completed, so device state, stats and
-  // the shadow image are quiescent. No-op with enable_epoch_pipeline off.
-  // Returns kAborted when a crash hook fired on the tail thread — the
-  // Database must then be discarded and recovered like any other crash.
+  // Blocks until the persistence tail of the last executed epoch (if any)
+  // has completed, so device state, stats and the shadow image are
+  // quiescent. Callers that want barrier semantics call it after every
+  // ExecuteEpoch. Returns kAborted when a crash hook fired on the tail
+  // thread — the Database must then be discarded and recovered like any
+  // other crash.
   Status WaitIdle();
+
+  // Summed thread-CPU time of the persistence tails completed so far. A
+  // caller that waits for each tail adds the delta across an epoch to its
+  // own thread's CPU to get the epoch's full CPU cost.
+  std::uint64_t tail_cpu_ns() const { return tail_cpu_total_ns_.load(std::memory_order_relaxed); }
 
   // ---- Instant recovery (spec.enable_instant_recovery; recovery.cc) ----------
 
@@ -384,14 +378,6 @@ class Database {
   // kInvalidArgument when the table is not TableSchema::ordered.
   StatusOr<std::vector<ScanRow>> RangeScan(TableId table, Key begin, Key end,
                                            std::size_t limit = ~std::size_t{0});
-
-  // Pre-Status shim for the old int convention (bytes copied, or -1 when
-  // absent). Unused in-repo; kept for one PR for external callers.
-  [[deprecated("use ReadCommitted(), which returns StatusOr<std::uint32_t>")]]
-  int ReadCommittedLegacy(TableId table, Key key, void* out, std::uint32_t cap) {
-    const StatusOr<std::uint32_t> n = ReadCommitted(table, key, out, cap);
-    return n.ok() ? static_cast<int>(*n) : -1;
-  }
 
   MemoryBreakdown GetMemoryBreakdown() const;
 
@@ -551,8 +537,9 @@ class Database {
   void RunAppendStep();
   void RunBatchAppendStep();
   void RunExecutePhase();
+  // Detaches the staged lines and runs RunTailPersist inline (synchronous
+  // callers that own the device: FinalizeLoad, the instant-recovery finish).
   void CheckpointEpoch(Epoch epoch);
-  void FinishEpoch();
   bool MaybeCrash(CrashSite site);
 
   // ---- Row operations (epoch.cc) --------------------------------------------
@@ -608,7 +595,6 @@ class Database {
   // slot (append step).
   void FillInitialVersion(vstore::RowEntry* entry, vstore::VersionArray* va, std::size_t core);
 
-  void FenceAll();
   void PersistCounters(Epoch epoch, std::size_t core = 0);
 
   // Reusable per-core bounce buffer for tiered value reads (grows
@@ -622,26 +608,19 @@ class Database {
     return buf.data();
   }
 
-  // ---- Parallel epoch tail (epoch.cc; DESIGN.md section 10) -------------------
-  // Each fans the serial tail loop out over pool_, preserving the serial
-  // path's fence ordering (one FenceAll where the serial code fenced once).
-  void ApplyIndexDeltasParallel(Epoch epoch);
-  void ApplyIndexDeltasSerial(Epoch epoch, std::size_t core = 0);
-  void WriteGcLogParallel(Epoch epoch);
-
-  // ---- Pipelined epoch tail (epoch.cc; DESIGN.md section 13) ------------------
+  // ---- Epoch persistence tail (epoch.cc; DESIGN.md section 13) ---------------
   // Work handed from ExecuteEpoch to the tail thread at the cut point.
   struct TailWork {
     Epoch epoch = 0;
     EpochResult result;
     std::vector<TxnOutcome> outcomes;
-    bool has_outcomes = false;
   };
-  // Runs epoch N's persistence tail — pool checkpoint shards, index-delta
-  // apply, GC log, counters, the detached-line drain and the epoch-number
-  // flip — at device core `core` (== spec_.workers on the tail thread).
-  // Serial variants only; throws CrashedException when a crash hook fires.
+  // Runs epoch N's persistence tail — pool checkpoints, index-delta apply,
+  // GC log, counters, the detached-line drain and the epoch-number flip —
+  // at device core `core` (always spec_.workers). Throws CrashedException
+  // when a crash hook fires.
   void RunTailPersist(Epoch epoch, std::size_t core);
+  void ApplyIndexDeltas(Epoch epoch, std::size_t core);
   void TailThreadMain();
   // Hands the executed epoch to the tail thread. Requires JoinTail() first.
   void SubmitTail(TailWork work);
@@ -730,7 +709,7 @@ class Database {
     std::uint32_t overflow;
     std::uint32_t reserved;
   };
-  void WriteGcLog(Epoch epoch, std::size_t core = 0);
+  void WriteGcLog(Epoch epoch, std::size_t core);
 
   sim::NvmDevice& device_;
   sim::NvmDevice* cold_device_ = nullptr;
@@ -749,12 +728,13 @@ class Database {
   std::vector<std::uint64_t> counters_epoch_start_;
   EngineStats stats_;
   PhaseProfiler profiler_;
-  sim::NvmCounters epoch_nvm_start_;  // mirrored into stats_.nvm_* at epoch end
 
   Epoch current_epoch_ = 0;  // last completed epoch
   Epoch epoch_ = 0;          // epoch currently executing
   bool loaded_ = false;
-  std::size_t load_rr_ = 0;  // round-robin core for bulk load
+  // Per-table round-robin core for bulk load: each table spreads over every
+  // core's row-pool shard regardless of how loads interleave across tables.
+  std::vector<std::size_t> load_rr_;
 
   // Per-epoch state.
   std::vector<std::unique_ptr<txn::Transaction>> owned_txns_;
@@ -830,9 +810,9 @@ class Database {
   std::array<std::atomic<std::uint64_t>, kCrashSiteCount> site_fired_{};
   std::size_t last_log_bytes_ = 0;
 
-  // Pipelined epoch tail (enable_epoch_pipeline; DESIGN.md section 13). The
-  // tail thread is started lazily by the first pipelined ExecuteEpoch and
-  // joined by the destructor. tail_mu_ guards all tail_* fields below.
+  // Epoch persistence tail (DESIGN.md section 13). The tail thread is
+  // started lazily by the first ExecuteEpoch and joined by the destructor.
+  // tail_mu_ guards all tail_* fields below.
   std::thread tail_thread_;
   std::mutex tail_mu_;
   std::condition_variable tail_cv_;
@@ -840,13 +820,14 @@ class Database {
   bool tail_inflight_ = false;
   bool tail_stop_ = false;
   bool tail_crashed_ = false;  // sticky: a crash hook fired on the tail thread
-  // Stats-mirror cursor for pipelined mode: device-counter snapshot taken at
-  // the end of the previous tail (tail-thread-owned once the thread runs).
+  // Stats-mirror cursor: device-counter snapshot taken at the end of the
+  // previous tail (tail-thread-owned once the thread runs).
   sim::NvmCounters nvm_mirror_snapshot_;
   // Wall and thread-CPU time of the last completed tail, consumed (and
   // zeroed) by the next JoinTail for overlap accounting. Guarded by tail_mu_.
   std::uint64_t tail_last_dur_ns_ = 0;
   std::uint64_t tail_last_cpu_ns_ = 0;
+  std::atomic<std::uint64_t> tail_cpu_total_ns_{0};  // see tail_cpu_ns()
 
   // Aria: transactions deferred by conflicts, re-queued at the front of the
   // next batch (deterministic from the batch composition).

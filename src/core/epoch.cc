@@ -281,11 +281,9 @@ EpochResult Database::ExecuteEpoch(std::vector<std::unique_ptr<txn::Transaction>
   // input-log/digest encode, which only touches the log's parity half that
   // the epoch before last has long drained — overlaps the previous epoch's
   // asynchronous persistence tail. Every phase that mutates NVMM or
-  // engine-shared state waits for that tail (JoinTail below). Replay always
-  // runs the synchronous loop: its epoch must be checkpointed before control
-  // returns to recovery.
-  const bool pipelined = spec_.enable_epoch_pipeline && !replaying_;
-  if (pipelined && !tail_thread_.joinable()) {
+  // engine-shared state waits for that tail (JoinTail below). Replay runs
+  // the same loop; Recover joins its tail before returning.
+  if (!tail_thread_.joinable()) {
     nvm_mirror_snapshot_ = device_.stats().Snapshot();
     tail_thread_ = std::thread(&Database::TailThreadMain, this);
   }
@@ -306,21 +304,13 @@ EpochResult Database::ExecuteEpoch(std::vector<std::unique_ptr<txn::Transaction>
 
   EpochResult result;
   result.epoch = epoch;
-  // Captured before the epoch state is cleared; delivered to the epoch
-  // callback only after the epoch number is durable.
-  std::vector<TxnOutcome> outcomes;
-  if (!pipelined) {
-    epoch_nvm_start_ = device_.stats().Snapshot();
-  }
   profiler_.BeginEpoch(epoch);
   try {
     // Input logging: all inputs durable before execution starts (4.3). The
     // replay path skips it — the crashed epoch's log is already durable.
     if (ModeLogsInputs(spec_.mode) && !replaying_) {
       PhaseProfiler::ScopedPhase phase(profiler_, Phase::kLogInputs);
-      last_log_bytes_ = spec_.enable_parallel_tail
-                            ? log_->LogEpochParallel(epoch, owned_txns_, pool_, profiler_)
-                            : log_->LogEpoch(epoch, owned_txns_, 0);
+      last_log_bytes_ = log_->LogEpochParallel(epoch, owned_txns_, pool_, profiler_);
       stats_.log_bytes.Add(0, last_log_bytes_);
       if (log_->has_digest_area()) {
         // The write-set digest must be durable alongside the log before
@@ -331,7 +321,7 @@ EpochResult Database::ExecuteEpoch(std::vector<std::unique_ptr<txn::Transaction>
       }
     }
     MaybeCrash(CrashSite::kAfterLog);
-    // Pipelined: the previous epoch's tail may still be persisting here.
+    // The previous epoch's tail may still be persisting here.
     MaybeCrash(CrashSite::kMidOverlapExecute);
 
     // Multi-shard durability barrier (src/shard): no shard may start mutating
@@ -344,22 +334,18 @@ EpochResult Database::ExecuteEpoch(std::vector<std::unique_ptr<txn::Transaction>
       throw CrashedException{};
     }
 
-    if (pipelined) {
-      // Barrier against the previous epoch's tail: from here on this epoch
-      // mutates pool allocator state, rows and version arrays, all of which
-      // the tail checkpoints. A tail-thread crash surfaces as this epoch
-      // crashing (nothing of this epoch escaped to NVMM yet except its log,
-      // which recovery replays only after the previous epoch's state).
-      if (!JoinTail()) {
-        profiler_.CancelEpoch();
-        result.crashed = true;
-        return result;
-      }
-      // Flip to the other transient bank: the previous epoch's transient
-      // state stayed intact while its tail was in flight; the bank being
-      // reset belonged to the epoch before last.
-      transient_.FlipBank();
+    // Barrier against the previous epoch's tail: from here on this epoch
+    // mutates pool allocator state, rows and version arrays, all of which
+    // the tail checkpoints. A tail-thread crash surfaces as this epoch
+    // crashing (nothing of this epoch escaped to NVMM yet except its log,
+    // which recovery replays only after the previous epoch's state).
+    if (!JoinTail()) {
+      profiler_.CancelEpoch();
+      result.crashed = true;
+      return result;
     }
+    // The previous epoch's transient state is dead: its tail never reads it.
+    transient_.Reset();
 
     for (auto& pool : value_pools_) {
       pool->BeginEpoch();
@@ -416,71 +402,34 @@ EpochResult Database::ExecuteEpoch(std::vector<std::unique_ptr<txn::Transaction>
       cs.deleted.clear();
     }
 
-    // Built unconditionally (cheap: one byte per transaction) so a callback
-    // installed concurrently mid-epoch still receives correct outcomes.
-    outcomes.resize(txn_states_.size());
+    // Cut point: all workers are quiesced, nothing else touches the device
+    // until the next epoch's log encode. Hand the epoch's staged-but-
+    // unfenced lines and its persistence tail to the tail thread and admit
+    // the next epoch immediately. Outcomes are delivered to the epoch
+    // callback once the epoch number is durable.
+    TailWork work;
+    work.outcomes.resize(txn_states_.size());
     for (std::size_t i = 0; i < txn_states_.size(); ++i) {
-      outcomes[i] = txn_states_[i].aborted ? TxnOutcome::kAborted : TxnOutcome::kCommitted;
+      work.outcomes[i] = txn_states_[i].aborted ? TxnOutcome::kAborted : TxnOutcome::kCommitted;
     }
-
-    if (pipelined) {
-      // Cut point: all workers are quiesced, nothing else touches the device
-      // until the next epoch's log encode. Hand the epoch's staged-but-
-      // unfenced lines and its persistence tail to the tail thread and admit
-      // the next epoch immediately.
-      result.committed = epoch_committed_.load(std::memory_order_relaxed);
-      result.aborted = epoch_aborted_.load(std::memory_order_relaxed);
-      device_.DetachPending();
-      owned_txns_.clear();
-      txn_states_.clear();
-      current_epoch_ = epoch;
-      result.seconds = SecondsSince(start);
-      profiler_.EndEpoch();
-      TailWork work;
-      work.epoch = epoch;
-      work.result = result;
-      work.outcomes = std::move(outcomes);
-      work.has_outcomes = true;
-      SubmitTail(std::move(work));
-      return result;
-    }
-
-    CheckpointEpoch(epoch);
-    {
-      PhaseProfiler::ScopedPhase phase(profiler_, Phase::kFinish);
-      FinishEpoch();
-    }
+    result.committed = epoch_committed_.load(std::memory_order_relaxed);
+    result.aborted = epoch_aborted_.load(std::memory_order_relaxed);
+    device_.DetachPending();
+    owned_txns_.clear();
+    txn_states_.clear();
     current_epoch_ = epoch;
+    result.seconds = SecondsSince(start);
+    profiler_.EndEpoch();
+    work.epoch = epoch;
+    work.result = result;
+    SubmitTail(std::move(work));
+    return result;
   } catch (const CrashedException&) {
-    if (pipelined) {
-      JoinTail();  // quiesce the device so the harness can simulate the crash
-    }
+    JoinTail();  // quiesce the device so the harness can simulate the crash
     profiler_.CancelEpoch();
     result.crashed = true;
     return result;
   }
-
-  profiler_.EndEpoch();
-  // Mirror the epoch's device deltas into the engine-side counters so
-  // EngineStats reports NVM costs of epoch processing (loads excluded).
-  const sim::NvmCounters nvm_end = device_.stats().Snapshot();
-  stats_.nvm_read_bytes.Add(0, nvm_end.read_bytes - epoch_nvm_start_.read_bytes);
-  stats_.nvm_read_lines.Add(0, nvm_end.read_granules - epoch_nvm_start_.read_granules);
-  stats_.nvm_write_bytes.Add(0, nvm_end.write_bytes - epoch_nvm_start_.write_bytes);
-  stats_.nvm_write_lines.Add(0, nvm_end.persisted_lines - epoch_nvm_start_.persisted_lines);
-  stats_.nvm_persist_ops.Add(0, nvm_end.persist_ops - epoch_nvm_start_.persist_ops);
-  stats_.nvm_fences.Add(0, nvm_end.fences - epoch_nvm_start_.fences);
-
-  result.committed = epoch_committed_.load(std::memory_order_relaxed);
-  result.aborted = epoch_aborted_.load(std::memory_order_relaxed);
-  result.seconds = SecondsSince(start);
-  {
-    std::lock_guard<std::mutex> lock(callback_mu_);
-    if (epoch_callback_) {
-      epoch_callback_(result, outcomes);
-    }
-  }
-  return result;
 }
 
 void Database::RunInsertStep() {
@@ -685,86 +634,19 @@ void Database::RunExecutePhase() {
   });
 }
 
+// Synchronous persistence tail for callers that own the device outright
+// (FinalizeLoad and the instant-recovery finish): the tail thread's
+// RunTailPersist, run inline on the tail's device core.
 void Database::CheckpointEpoch(Epoch epoch) {
-  {
-    PhaseProfiler::ScopedPhase phase(profiler_, Phase::kCheckpoint);
-    if (spec_.enable_parallel_tail) {
-      // Parallel tail: worker w checkpoints exactly the per-core pool shards
-      // it dirtied during the epoch (pool core == worker id throughout the
-      // engine). No fence is needed between shards — the serial path also
-      // deferred durability to the epoch's FenceAll below — so the workers
-      // are fully independent.
-      const bool hook_tail = static_cast<bool>(crash_hook_) && spec_.workers == 1;
-      pool_.RunParallel([this, epoch, hook_tail](std::size_t w) {
-        PhaseProfiler::WorkerScope span(profiler_, w);
-        for (auto& pool : value_pools_) {
-          pool->CheckpointCore(epoch, w, w);
-        }
-        if (hook_tail) {
-          // Crash between a core's value-pool and row-pool shard
-          // checkpoints: this epoch's meta parity slots are part-written,
-          // but nothing reads them until the superblock epoch flips.
-          MaybeCrash(CrashSite::kMidParallelCheckpoint);
-        }
-        for (auto& pool : row_pools_) {
-          pool->CheckpointCore(epoch, w, w);
-        }
-        if (cold_pool_ != nullptr) {
-          cold_pool_->CheckpointCore(epoch, w, w);
-        }
-      });
-      if (cold_pool_ != nullptr) {
-        // One cross-core barrier where the serial path fenced once: the
-        // workers' cold-meta persists all retire here.
-        cold_device_->FenceAll(0);
-      }
-    } else {
-      for (auto& pool : value_pools_) {
-        pool->Checkpoint(epoch, 0);
-      }
-      for (auto& pool : row_pools_) {
-        pool->Checkpoint(epoch, 0);
-      }
-      if (cold_pool_ != nullptr) {
-        cold_pool_->Checkpoint(epoch, 0);
-        cold_device_->Fence(0);  // cold-pool checkpoint durable with this epoch
-      }
-    }
-    // Same crash state as the pipelined tail's site: checkpoint shards
-    // part-staged, nothing fenced, header not flipped.
-    MaybeCrash(CrashSite::kMidOverlapTailPersist);
-    if (spec_.enable_persistent_index) {
-      if (spec_.enable_parallel_tail) {
-        ApplyIndexDeltasParallel(epoch);
-      } else {
-        ApplyIndexDeltasSerial(epoch);
-      }
-    }
-  }
-  if (spec_.enable_persistent_index) {
-    PhaseProfiler::ScopedPhase phase(profiler_, Phase::kGcLog);
-    if (spec_.enable_parallel_tail) {
-      WriteGcLogParallel(epoch);
-    } else {
-      WriteGcLog(epoch);
-    }
-  }
   PhaseProfiler::ScopedPhase phase(profiler_, Phase::kCheckpoint);
-  PersistCounters(epoch);
-  FenceAll();
-  MaybeCrash(CrashSite::kBeforeEpochPersist);
-  auto* sb = device_.As<SuperBlock>(layout_.superblock);
-  sb->epoch = epoch;
-  device_.Persist(layout_.superblock + offsetof(SuperBlock, epoch), sizeof(std::uint64_t), 0);
-  device_.Fence(0);
+  device_.DetachPending();
+  RunTailPersist(epoch, spec_.workers);
 }
 
-// Serial index-delta application (enable_parallel_tail off, and the
-// pipelined tail thread, which passes its own device core). Applies the
-// epoch's index deltas in a batch (section-7 extension). The per-slot epoch
-// tags make a torn batch recoverable, and replay re-applies its deltas
-// idempotently.
-void Database::ApplyIndexDeltasSerial(Epoch epoch, std::size_t core) {
+// Applies the epoch's index deltas in a batch (section-7 extension). The
+// per-slot epoch tags make a torn batch recoverable, and replay re-applies
+// its deltas idempotently.
+void Database::ApplyIndexDeltas(Epoch epoch, std::size_t core) {
   for (CoreEpochState& cs : core_state_) {
     for (const IndexDelta& delta : cs.index_deltas) {
       // Crash with the batch partially applied: the already-written slots
@@ -777,45 +659,6 @@ void Database::ApplyIndexDeltasSerial(Epoch epoch, std::size_t core) {
         pindexes_[delta.table]->ApplyInsert(delta.key, delta.prow, epoch, core);
       }
     }
-    cs.index_deltas.clear();
-  }
-}
-
-// Parallel index-delta application: deltas are sharded by key-hash owner
-// (the batch-append owner function), so all operations on one key run on one
-// worker and per-core delta order — which carries the insert-before-delete
-// requirement for keys inserted and deleted in the same epoch — is preserved
-// within each shard. Every worker walks all core buckets in (core, index)
-// order and applies only its own keys; the slot CAS protocol in
-// PersistentIndex makes concurrent probes over shared chains safe.
-void Database::ApplyIndexDeltasParallel(Epoch epoch) {
-  const bool hook_tail = static_cast<bool>(crash_hook_) && spec_.workers == 1;
-  pool_.RunParallel([this, epoch, hook_tail](std::size_t w) {
-    PhaseProfiler::WorkerScope span(profiler_, w);
-    for (CoreEpochState& cs : core_state_) {
-      for (const IndexDelta& delta : cs.index_deltas) {
-        if (PartitionOf(delta.table, delta.key, spec_.workers) != w) {
-          continue;
-        }
-        if (hook_tail) {
-          // Same crash state as the serial site: batch partially applied,
-          // already-written slots tagged with the uncheckpointed epoch.
-          MaybeCrash(CrashSite::kDuringIndexApply);
-        }
-        if (delta.is_delete) {
-          pindexes_[delta.table]->ApplyDelete(delta.key, epoch, w);
-        } else {
-          pindexes_[delta.table]->ApplyInsert(delta.key, delta.prow, epoch, w);
-        }
-        if (hook_tail) {
-          // Crash right after an application: the shard batch is mid-apply
-          // with at least one slot already written.
-          MaybeCrash(CrashSite::kMidParallelIndexApply);
-        }
-      }
-    }
-  });
-  for (CoreEpochState& cs : core_state_) {
     cs.index_deltas.clear();
   }
 }
@@ -853,90 +696,16 @@ void Database::WriteGcLog(Epoch epoch, std::size_t core) {
   device_.Persist(layout_.gc_log, sizeof(GcLogHeader), core);
 }
 
-// Parallel-tail GC-log assembly. Prefix-sums the per-core contributions
-// (truncated at capacity in core order, matching the serial fill exactly),
-// then has each worker write and persist a disjoint slice of the
-// epoch-parity half. Interior persist boundaries are aligned down to cache
-// lines so no line is covered twice; one cross-core barrier replaces the
-// serial fence before the header flip.
-void Database::WriteGcLogParallel(Epoch epoch) {
-  auto* header = device_.As<GcLogHeader>(layout_.gc_log);
-  const std::uint64_t entries_base =
-      layout_.gc_log + sizeof(GcLogHeader) +
-      (epoch & 1) * spec_.gc_log_capacity * sizeof(std::uint64_t);
-
-  const std::size_t cores = core_state_.size();
-  std::vector<std::size_t> base(cores + 1, 0);
-  std::size_t raw_total = 0;
-  for (std::size_t c = 0; c < cores; ++c) {
-    raw_total += core_state_[c].major_gc.size();
-    base[c + 1] = std::min(raw_total, spec_.gc_log_capacity);
-  }
-  const auto count = static_cast<std::uint32_t>(base[cores]);
-  const bool overflow = raw_total > spec_.gc_log_capacity;
-
-  if (count > 0) {
-    pool_.RunParallel([&, this](std::size_t w) {
-      PhaseProfiler::WorkerScope span(profiler_, w);
-      const Range r = SplitRange(count, spec_.workers, w);
-      if (r.begin == r.end) {
-        return;
-      }
-      std::size_t core = 0;
-      while (base[core + 1] <= r.begin) {
-        ++core;
-      }
-      std::size_t idx = r.begin - base[core];
-      for (std::size_t g = r.begin; g < r.end; ++g) {
-        while (g >= base[core + 1]) {
-          ++core;
-          idx = 0;
-        }
-        const vstore::RowEntry* entry = core_state_[core].major_gc[idx++];
-        // Pack the owning table into the high bits of the row offset.
-        *device_.As<std::uint64_t>(entries_base + g * sizeof(std::uint64_t)) =
-            (static_cast<std::uint64_t>(entry->table) << 48) | entry->prow;
-      }
-      const auto align_down = [](std::uint64_t off) {
-        return off / kCacheLineSize * kCacheLineSize;
-      };
-      const std::uint64_t begin_off =
-          r.begin == 0 ? entries_base
-                       : std::max<std::uint64_t>(
-                             entries_base,
-                             align_down(entries_base + r.begin * sizeof(std::uint64_t)));
-      const std::uint64_t end_off =
-          r.end == count ? entries_base + count * sizeof(std::uint64_t)
-                         : std::max<std::uint64_t>(
-                               entries_base,
-                               align_down(entries_base + r.end * sizeof(std::uint64_t)));
-      if (end_off > begin_off) {
-        device_.Persist(begin_off, end_off - begin_off, w);
-      }
-    });
-  }
-  device_.FenceAll(0);
-  header->epoch = epoch;
-  header->count = count;
-  header->overflow = overflow ? 1 : 0;
-  device_.Persist(layout_.gc_log, sizeof(GcLogHeader), 0);
-}
-
-void Database::FinishEpoch() {
-  transient_.Reset();
-  owned_txns_.clear();
-  txn_states_.clear();
-}
-
 // ---- Pipelined epoch tail (DESIGN.md section 13) -------------------------------
 
-// The serial persistence tail relocated onto the tail thread: identical NVM
-// writes and the same fence ledger as the barrier serial tail — cold fence
-// (if cold tier), the GC log's interior fence (if persistent index), one
-// fence per worker for the execute phase's detached lines, and the fence
-// after the epoch-number flip. It must not touch the profiler's driver
-// bracketing, the worker pool, or any per-epoch transient state: the next
-// epoch's front half runs concurrently with all of it.
+// The epoch's one durability point (paper 4.3-4.5, 5.5): checkpoint the
+// pools, persist the index deltas, GC log and counters, then flip the epoch
+// number. Fence ledger: cold fence (if cold tier), the GC log's interior
+// fence (if persistent index), one fence per worker for the execute phase's
+// detached lines, and the fence after the flip. On the tail thread it must
+// not touch the profiler's epoch bracketing, the worker pool, or any
+// per-epoch transient state: the next epoch's front half runs concurrently
+// with all of it.
 void Database::RunTailPersist(Epoch epoch, std::size_t core) {
   for (auto& pool : value_pools_) {
     pool->Checkpoint(epoch, core);
@@ -954,12 +723,12 @@ void Database::RunTailPersist(Epoch epoch, std::size_t core) {
   // its (parity-disjoint) input log.
   MaybeCrash(CrashSite::kMidOverlapTailPersist);
   if (spec_.enable_persistent_index) {
-    ApplyIndexDeltasSerial(epoch, core);
+    ApplyIndexDeltas(epoch, core);
     WriteGcLog(epoch, core);
   }
   PersistCounters(epoch, core);
   // The execute phase's final writes were detached at the cut point; retire
-  // them with the same per-worker fence count the synchronous tail charges.
+  // them with one fence per worker.
   device_.FenceDetached(spec_.workers, core);
   MaybeCrash(CrashSite::kBeforeEpochPersist);
   auto* sb = device_.As<SuperBlock>(layout_.superblock);
@@ -1001,9 +770,9 @@ void Database::TailThreadMain() {
     if (!crashed) {
       // Mirror the device deltas since the previous tail into the engine
       // counters. The window telescopes across tails, so the cumulative
-      // stats after WaitIdle equal the barrier engine's per-epoch sums; the
-      // per-tail split is approximate (concurrent front-half charges land in
-      // whichever window observes them).
+      // stats after WaitIdle equal the per-epoch sums; the per-tail split is
+      // approximate (concurrent front-half charges land in whichever window
+      // observes them).
       const sim::NvmCounters nvm_end = device_.stats().Snapshot();
       stats_.nvm_read_bytes.Add(0, nvm_end.read_bytes - nvm_mirror_snapshot_.read_bytes);
       stats_.nvm_read_lines.Add(0, nvm_end.read_granules - nvm_mirror_snapshot_.read_granules);
@@ -1017,7 +786,7 @@ void Database::TailThreadMain() {
       // from JoinTail/WaitIdle is guaranteed the callback already ran, so
       // clearing the callback after a join leaves no in-flight invocation.
       std::lock_guard<std::mutex> cb(callback_mu_);
-      if (epoch_callback_ && work.has_outcomes) {
+      if (epoch_callback_) {
         epoch_callback_(work.result, work.outcomes);
       }
     }
@@ -1025,6 +794,7 @@ void Database::TailThreadMain() {
     lock.lock();
     tail_last_dur_ns_ = dur_ns == 0 ? 1 : dur_ns;
     tail_last_cpu_ns_ = cpu_ns;
+    tail_cpu_total_ns_.fetch_add(cpu_ns, std::memory_order_relaxed);
     if (crashed) {
       tail_crashed_ = true;
     }
@@ -1615,28 +1385,18 @@ void Database::RunDemotions() {
                                                    /*is_cold=*/true)});
   };
 
+  // Read+copy fans out: each worker copies a contiguous candidate range to
+  // cold blocks from its own per-core cold shard. No descriptor is touched
+  // yet, so worker order is free.
   std::vector<std::vector<Demotion>> batches(spec_.workers);
-  if (spec_.enable_parallel_tail) {
-    // Read+copy fans out: each worker copies a contiguous candidate range to
-    // cold blocks from its own per-core cold shard. No descriptor is touched
-    // yet, so worker order is free.
-    pool_.RunParallel([&, this](std::size_t w) {
-      PhaseProfiler::WorkerScope span(profiler_, w);
-      const Range r = SplitRange(demotion_candidates_.size(), spec_.workers, w);
-      bool exhausted = false;
-      for (std::size_t i = r.begin; i < r.end && !exhausted; ++i) {
-        try_demote(demotion_candidates_[i], w, &batches[w], &exhausted);
-      }
-    });
-  } else {
+  pool_.RunParallel([&, this](std::size_t w) {
+    PhaseProfiler::WorkerScope span(profiler_, w);
+    const Range r = SplitRange(demotion_candidates_.size(), spec_.workers, w);
     bool exhausted = false;
-    for (vstore::RowEntry* entry : demotion_candidates_) {
-      if (exhausted) {
-        break;  // cold tier full
-      }
-      try_demote(entry, 0, &batches[0], &exhausted);
+    for (std::size_t i = r.begin; i < r.end && !exhausted; ++i) {
+      try_demote(demotion_candidates_[i], w, &batches[w], &exhausted);
     }
-  }
+  });
   demotion_candidates_.clear();
   bool any = false;
   for (const auto& batch : batches) {
@@ -1650,44 +1410,28 @@ void Database::RunDemotions() {
   // at its hot value.
   MaybeCrash(CrashSite::kDuringDemotion);
   // Durability point: cold data + allocations survive any crash from here on,
-  // so descriptors may reference them. The parallel path's workers staged
-  // their cold persists per core; one cross-core barrier retires them all
-  // where the serial path fenced once.
-  if (spec_.enable_parallel_tail) {
-    cold_device_->FenceAll(0);
-  } else {
-    cold_device_->Fence(0);
-  }
+  // so descriptors may reference them. The workers staged their cold
+  // persists per core; one cross-core barrier retires them all.
+  cold_device_->FenceAll(0);
   cold_pool_->PersistBumpNonRevertible(0);
   const bool hook_tail = static_cast<bool>(crash_hook_) && spec_.workers == 1;
-  if (spec_.enable_parallel_tail) {
-    pool_.RunParallel([&, this](std::size_t w) {
-      PhaseProfiler::WorkerScope span(profiler_, w);
-      for (const Demotion& demotion : batches[w]) {
-        vstore::PersistentRow row = RowAt(demotion.entry);
-        row.WriteDesc(demotion.slot, Sid(demotion.old_desc.sid), demotion.new_loc, w);
-        stats_.demotions.Add(w);
-        if (hook_tail) {
-          // Crash mid-batch: some descriptors already name cold locations,
-          // the rest still name hot ones; both must read back correctly
-          // after recovery.
-          MaybeCrash(CrashSite::kDuringDemotion);
-        }
-      }
-    });
-  } else {
-    for (const Demotion& demotion : batches[0]) {
+  pool_.RunParallel([&, this](std::size_t w) {
+    PhaseProfiler::WorkerScope span(profiler_, w);
+    for (const Demotion& demotion : batches[w]) {
       vstore::PersistentRow row = RowAt(demotion.entry);
-      row.WriteDesc(demotion.slot, Sid(demotion.old_desc.sid), demotion.new_loc, 0);
-      stats_.demotions.Add(0);
-      // Crash mid-batch: some descriptors already name cold locations, the
-      // rest still name hot ones; both must read back correctly.
-      MaybeCrash(CrashSite::kDuringDemotion);
+      row.WriteDesc(demotion.slot, Sid(demotion.old_desc.sid), demotion.new_loc, w);
+      stats_.demotions.Add(w);
+      if (hook_tail) {
+        // Crash mid-batch: some descriptors already name cold locations,
+        // the rest still name hot ones; both must read back correctly
+        // after recovery.
+        MaybeCrash(CrashSite::kDuringDemotion);
+      }
     }
-  }
+  });
   // Vacated hot blocks free in the NEXT epoch (after this epoch's checkpoint
   // made the new descriptors durable). Worker-major order == candidate order
-  // (ranges are contiguous), matching the serial append order.
+  // (ranges are contiguous).
   for (const auto& batch : batches) {
     for (const Demotion& demotion : batch) {
       cold_frees_next_.push_back(vstore::ValueLoc(demotion.old_desc.loc));

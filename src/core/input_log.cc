@@ -160,8 +160,8 @@ std::size_t InputLog::LogEpochParallel(Epoch epoch,
   // The workers' payload persists are staged on their own cores: one
   // cross-core barrier orders payload + header before the complete flag,
   // exactly where the serial path fenced once. Bounded to the worker cores —
-  // under pipelined epochs this runs concurrently with the previous epoch's
-  // tail thread, which owns the device core at index `workers`.
+  // this runs concurrently with the previous epoch's tail thread, which owns
+  // the device core at index `workers`.
   device_.FenceWorkers(workers, 0);
 
   header->complete = 1;

@@ -63,13 +63,13 @@ class InputLog {
                        const std::vector<std::unique_ptr<txn::Transaction>>& txns,
                        std::size_t core);
 
-  // Parallel-tail variant of LogEpoch: workers encode disjoint serial-order
-  // transaction ranges into per-worker buffers, copy them into the log at
-  // prefix-summed offsets (persisting line-disjoint slices so the persisted
-  // line and byte counts match the serial bulk write exactly), and hash
-  // disjoint checksum-chunk ranges; the driver alone orders the header
-  // commits, with the same three fences as the serial path. The persisted
-  // image is byte-identical to LogEpoch's.
+  // Parallel variant of LogEpoch (Caracal's log path): workers encode
+  // disjoint serial-order transaction ranges into per-worker buffers, copy
+  // them into the log at prefix-summed offsets (persisting line-disjoint
+  // slices so the persisted line and byte counts match the serial bulk
+  // write exactly), and hash disjoint checksum-chunk ranges; the calling
+  // thread alone orders the header commits, with the same three fences as
+  // the serial path. The persisted image is byte-identical to LogEpoch's.
   std::size_t LogEpochParallel(Epoch epoch,
                                const std::vector<std::unique_ptr<txn::Transaction>>& txns,
                                WorkerPool& pool, PhaseProfiler& profiler);

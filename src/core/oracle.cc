@@ -198,8 +198,8 @@ std::size_t DiffStates(const OracleState& expected, const OracleState& actual,
 std::size_t ValidatePersistentIndex(Database& db, std::string* out,
                                     std::size_t max_reports) {
   // Index deltas are applied by the epoch's persistence tail, which may still
-  // be in flight under pipelining; quiesce before cross-checking so the index
-  // reflects every cut epoch.
+  // be in flight; quiesce before cross-checking so the index reflects every
+  // cut epoch.
   (void)db.WaitIdle();
   std::size_t inconsistencies = 0;
   for (std::size_t t = 0; t < db.table_count(); ++t) {

@@ -201,9 +201,12 @@ StatusOr<RecoveryReport> Database::Recover(const txn::TxnRegistry& registry,
     }
     replaying_ = true;
     EpochResult result = ExecuteEpoch(std::move(replay_txns));
+    // The replayed epoch must be checkpointed before control returns to the
+    // caller: join its tail (a tail crash surfaces like any replay crash).
+    const bool tail_ok = JoinTail();
     replaying_ = false;
     gc_dedup_.clear();
-    if (result.crashed) {
+    if (result.crashed || !tail_ok) {
       return Status::Aborted("Recover: crash hook fired during replay");
     }
     report.replay_seconds = SecondsSince(replay_start);

@@ -1,12 +1,10 @@
 #include "src/index/persistent_index.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
 
 #include "src/common/hash.h"
-#include "src/common/latch.h"
 
 namespace nvc::index {
 namespace {
@@ -36,42 +34,25 @@ void PersistentIndex::Format() {
 }
 
 void PersistentIndex::ApplyInsert(Key key, std::uint64_t prow, Epoch epoch, std::size_t core) {
-  // Concurrent linear probe. Once a slot is published (kUsed) its key never
-  // changes — a re-insert of the same key rewrites only the payload fields,
-  // and tombstoned slots of other keys are not reused (reuse would break
-  // probe chains; the table is sized for twice the live rows, and deleted
-  // keys are commonly re-inserted, reusing their own slot). That makes a
-  // plain read of slot->key safe after an acquire load observes kUsed.
+  // Linear probe. Once a slot is used its key never changes — a re-insert of
+  // the same key rewrites only the payload fields, and tombstoned slots of
+  // other keys are not reused (reuse would break probe chains; the table is
+  // sized for twice the live rows, and deleted keys are commonly
+  // re-inserted, reusing their own slot).
   std::uint64_t index = SplitMix64(key) & mask_;
   for (std::uint64_t step = 0; step < capacity_; ++step) {
     Slot* slot = SlotAt(index);
-    std::atomic_ref<std::uint64_t> state(slot->state);
-    std::uint64_t observed = state.load(std::memory_order_acquire);
-    while (observed == kBusy) {
-      CpuRelax();
-      observed = state.load(std::memory_order_acquire);
-    }
-    if (observed == kFree) {
-      std::uint64_t expected = kFree;
-      if (state.compare_exchange_strong(expected, kBusy, std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-        // Store order: payload fields first, the publish word last, all in
-        // one 32-byte (half-line) persist. A torn write leaves either a free
-        // slot or a fully-tagged one; either is recoverable.
-        slot->key = key;
-        slot->prow = prow;
-        slot->epoch_added = epoch;
-        slot->epoch_deleted = 0;
-        state.store(kUsed, std::memory_order_release);
-        device_.Persist(SlotOffset(index), sizeof(Slot), core);
-        return;
-      }
-      // Lost the claim race: another worker took this slot for a different
-      // key (same-key operations are single-threaded under the owner
-      // sharding). Wait for its publish, then re-examine the slot.
-      while (state.load(std::memory_order_acquire) == kBusy) {
-        CpuRelax();
-      }
+    if (slot->state == kFree) {
+      // Store order: payload fields first, the state word last, all in one
+      // 32-byte (half-line) persist. A torn write leaves either a free slot
+      // or a fully-tagged one; either is recoverable.
+      slot->key = key;
+      slot->prow = prow;
+      slot->epoch_added = epoch;
+      slot->epoch_deleted = 0;
+      slot->state = kUsed;
+      device_.Persist(SlotOffset(index), sizeof(Slot), core);
+      return;
     }
     if (slot->key == key) {
       // Re-insert into this key's own slot (live or tombstoned): refresh the
@@ -91,13 +72,7 @@ void PersistentIndex::ApplyDelete(Key key, Epoch epoch, std::size_t core) {
   std::uint64_t index = SplitMix64(key) & mask_;
   for (std::uint64_t step = 0; step < capacity_; ++step) {
     Slot* slot = SlotAt(index);
-    std::atomic_ref<std::uint64_t> state(slot->state);
-    std::uint64_t observed = state.load(std::memory_order_acquire);
-    while (observed == kBusy) {
-      CpuRelax();
-      observed = state.load(std::memory_order_acquire);
-    }
-    if (observed == kFree) {
+    if (slot->state == kFree) {
       return;  // unknown key: nothing to delete (idempotent)
     }
     if (slot->key == key) {

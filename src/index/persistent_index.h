@@ -42,13 +42,8 @@ class PersistentIndex {
   // ---- Batch application (checkpoint path) ---------------------------------
   // Applies one insert/delete; the caller persists in ranges via Flush()
   // after a batch (or relies on the checkpoint fence). Both operations are
-  // idempotent, so a replayed epoch may re-apply its deltas.
-  //
-  // Concurrency: callers sharded by key hash may apply concurrently, as long
-  // as all operations on one key come from one thread (the parallel tail's
-  // owner sharding guarantees this). Free slots are claimed with a CAS
-  // through an intermediate kBusy state, published with a release store of
-  // kUsed; probers acquire-load the state word before trusting a slot's key.
+  // idempotent, so a replayed epoch may re-apply its deltas. Single
+  // applier: the epoch tail applies each batch on one thread.
   void ApplyInsert(Key key, std::uint64_t prow, Epoch epoch, std::size_t core);
   void ApplyDelete(Key key, Epoch epoch, std::size_t core);
 
@@ -68,17 +63,12 @@ class PersistentIndex {
     std::uint64_t prow;
     std::uint32_t epoch_added;
     std::uint32_t epoch_deleted;
-    std::uint64_t state;  // 0 = free, 1 = used, 2 = claimed mid-publish
+    std::uint64_t state;  // 0 = free, 1 = used
   };
   static_assert(sizeof(Slot) == 32);
 
   static constexpr std::uint64_t kFree = 0;
   static constexpr std::uint64_t kUsed = 1;
-  // Transient DRAM-side claim marker: a worker CASed the slot and is filling
-  // the payload fields. Never persisted — the claiming worker stores kUsed
-  // before the slot's only Persist, and crash hooks cannot fire mid-apply —
-  // so the on-NVMM image only ever holds kFree or kUsed.
-  static constexpr std::uint64_t kBusy = 2;
 
   Slot* SlotAt(std::uint64_t index) const {
     return device_.As<Slot>(base_ + index * sizeof(Slot));

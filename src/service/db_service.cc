@@ -278,9 +278,9 @@ bool DbService::RunBatch(std::unique_lock<std::mutex>& lk, std::vector<Pending> 
   std::vector<std::unique_ptr<txn::Transaction>> txns;
   txns.reserve(batch.size());
   // Register the epoch's new-submission tickets before the engine sees the
-  // batch: when OnEpochDurable later fires (tail thread under pipelining,
-  // synchronously inside ExecuteEpoch otherwise), it prepends the deferred
-  // carryover to the front entry to reconstruct the engine's slot order.
+  // batch: when OnEpochDurable later fires on the engine's tail thread, it
+  // prepends the deferred carryover to the front entry to reconstruct the
+  // engine's slot order.
   std::vector<std::shared_ptr<internal::TicketState>> fresh;
   fresh.reserve(batch.size());
   for (auto& p : batch) {

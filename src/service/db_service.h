@@ -16,11 +16,10 @@
 //     composition — a DbService run and a hand-batched ExecuteEpoch run
 //     over the same sequence with the same cuts produce identical state.
 //   - Tickets resolve only after the durable point; the reported latency is
-//     submit -> durable, never submit -> executed. Under pipelined epochs
-//     (CoreSpec::enable_epoch_pipeline) the durable notification arrives on
-//     the engine's tail thread while the pacer already executes the next
-//     batch; the pacer does not wait for epoch N's tail before cutting
-//     epoch N+1.
+//     submit -> durable, never submit -> executed. The durable notification
+//     arrives on the engine's tail thread while the pacer already executes
+//     the next batch; the pacer does not wait for epoch N's tail before
+//     cutting epoch N+1.
 //   - Under Aria, conflict-deferred transactions stay in flight (the engine
 //     re-runs them at the front of the next batch); their tickets resolve on
 //     the epoch that finally commits or aborts them, with the deferral count.
@@ -204,9 +203,9 @@ class DbService {
   // waiting — the callback needs it. Returns false (service failed) when
   // a crash hook fired inside the tail.
   bool QuiesceTail(std::unique_lock<std::mutex>& lk);
-  // Durable-notify from the engine. Under pipelined epochs this runs on the
-  // engine's tail thread, concurrent with the pacer preparing the next
-  // batch; callbacks arrive in strict epoch order.
+  // Durable-notify from the engine. Runs on the engine's tail thread,
+  // concurrent with the pacer preparing the next batch; callbacks arrive in
+  // strict epoch order.
   void OnEpochDurable(const core::EpochResult& result,
                       const std::vector<core::TxnOutcome>& outcomes);
   void Resolve(const std::shared_ptr<internal::TicketState>& state,

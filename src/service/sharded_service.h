@@ -5,10 +5,11 @@
 // same ServiceSpec), routes it through ShardedDatabase::ExecuteEpoch — which
 // fans the batch out to every shard and coordinates the exchange and
 // durability barriers — and resolves tickets when the call returns. Sharded
-// epochs are synchronous (ShardSpec forces epoch pipelining off: the
-// durability barrier needs every shard's log durable before any shard
-// executes), so a returned epoch *is* durable on every shard and tickets
-// resolve immediately; there is no tail-thread callback path here.
+// epochs are synchronous (every shard waits for its engine's persistence
+// tail before the global epoch returns, so no shard logs epoch N+1 while a
+// peer's epoch N is still in flight), so a returned epoch *is* durable on
+// every shard and tickets resolve immediately; there is no tail-thread
+// callback path here.
 //
 // Router-deferred cross-shard transactions (a read key written earlier in
 // the same global epoch) stay in flight exactly like Aria deferrals in

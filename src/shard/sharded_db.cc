@@ -180,10 +180,7 @@ core::DatabaseSpec ShardedDatabase::ShardSpec(core::DatabaseSpec base) {
         "ShardedDatabase does not support deterministic counters: the routing "
         "capture cannot reproduce counter draws across shards");
   }
-  // The post-log durability barrier requires synchronous epochs (a pipelined
-  // tail could checkpoint epoch N while a peer has not logged it), and the
-  // global recovery decision requires full, immediate replay.
-  base.enable_epoch_pipeline = false;
+  // The global recovery decision requires full, immediate replay.
   base.enable_instant_recovery = false;
   return base;
 }
@@ -489,14 +486,22 @@ void ShardedDatabase::RunShardEpoch(std::size_t s, Epoch epoch, RoutedEpoch& rou
     recorder_(s, epoch, routed.sub_batches[s]);
   }
 
+  const std::uint64_t tail_cpu0 = dbs_[s]->tail_cpu_ns();
   routed.results[s] = dbs_[s]->ExecuteEpoch(std::move(routed.sub_batches[s]));
+  // Wait for the shard's persistence tail: the post-log barrier invariant
+  // needs every shard's epoch durable before any shard logs the next one.
+  // A tail crash is this shard's crash.
+  if (!routed.results[s].crashed && !dbs_[s]->WaitIdle().ok()) {
+    routed.results[s].crashed = true;
+  }
   if (routed.results[s].crashed) {
     // The engine crashed (its own site, or the post-log hook returned
     // false). Release any peers still parked at a barrier.
     barriers.exchange.Abort();
     barriers.log.Abort();
   }
-  routed.cpu_ns[s] = ThreadCpuNs() - cpu0;
+  // The tail ran on the engine's tail thread while this thread waited.
+  routed.cpu_ns[s] = ThreadCpuNs() - cpu0 + (dbs_[s]->tail_cpu_ns() - tail_cpu0);
 }
 
 ShardedEpochResult ShardedDatabase::ExecuteEpoch(

@@ -38,7 +38,7 @@
 // replay decision (see the .cc) so all shards come back at one global epoch.
 //
 // v1 restrictions (checked at construction): ConcurrencyControl::kCaracal,
-// no deterministic counters, no epoch pipelining, no instant recovery;
+// no deterministic counters, no instant recovery;
 // cross-shard transactions additionally cannot use range operations (see
 // slice_txn.h).
 #pragma once
@@ -68,7 +68,8 @@ struct ShardedEpochResult {
   double seconds = 0;           // wall time of the global epoch
   double routing_seconds = 0;   // serial routing prologue (driver CPU)
   // Critical-path model for hosts with fewer cores than shards: the slowest
-  // shard's thread-CPU time (exchange fill + engine epoch). On real multi-core
+  // shard's CPU time (exchange fill + engine epoch, including its
+  // persistence tail on the engine's tail thread). On real multi-core
   // hardware wall time converges to routing + max shard CPU.
   double max_shard_cpu_seconds = 0;
   std::vector<double> shard_cpu_seconds;  // per-shard breakdown of the above
@@ -116,10 +117,10 @@ using SubBatchRecorder = std::function<void(
 
 class ShardedDatabase {
  public:
-  // Normalizes a per-shard spec: forces the sharded-mode engine overrides
-  // (no pipelining — the durability barrier needs synchronous epochs and
-  // bounds recovery skew to one epoch; no instant recovery) and validates
-  // the v1 restrictions. Throws std::invalid_argument on violations.
+  // Normalizes a per-shard spec: forces the sharded-mode engine override
+  // (no instant recovery — the global recovery decision requires full,
+  // immediate replay) and validates the v1 restrictions. Throws
+  // std::invalid_argument on violations.
   static core::DatabaseSpec ShardSpec(core::DatabaseSpec base);
 
   // Device bytes each shard's device needs under ShardSpec(base).

@@ -72,6 +72,8 @@ TEST(ValidateTest, RejectsBadWorkerCounts) {
   EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
   spec.workers = kMaxCores + 1;
   EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
+  spec.workers = kMaxCores;  // device core `workers` belongs to the epoch tail
+  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ValidateTest, RejectsUndersizedRows) {

@@ -1,8 +1,9 @@
-// Parallel epoch tail: the fanned-out checkpoint / index-apply / demotion /
-// GC-log / input-log phases must produce the same logical persisted state as
-// the serial tail at any worker count, with identical fence and
-// persisted-line counts, and stay recoverable at the parallel-only crash
-// sites.
+// Worker fan-out around the epoch tail: the parallel input-log encode and
+// demotion copy, and the per-worker execute lines the one persistence tail
+// retires, must reach the same logical persisted state at 4 workers as the
+// serial 1-worker engine; the durable-write ledger must not depend on
+// whether the caller waits for each tail; and the tail must stay
+// recoverable at its crash sites.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -75,14 +76,8 @@ std::vector<std::unique_ptr<txn::Transaction>> MakeEpoch(std::uint64_t seed,
 
 enum class Variant { kDefault, kPersistentIndex, kColdTier };
 
-DatabaseSpec SpecFor(Variant variant, std::size_t workers, bool parallel_tail) {
+DatabaseSpec SpecFor(Variant variant, std::size_t workers) {
   DatabaseSpec spec = SmallKvSpec(workers);
-  spec.enable_parallel_tail = parallel_tail;
-  // This file validates the synchronous (barrier) parallel tail against the
-  // barrier serial tail; under pipelining both would collapse onto the tail
-  // thread's serial path and the comparison would be vacuous. The pipelined
-  // engine's equivalence has its own suite (pipeline_test).
-  spec.enable_epoch_pipeline = false;
   if (variant == Variant::kPersistentIndex) {
     spec.enable_persistent_index = true;
   } else if (variant == Variant::kColdTier) {
@@ -112,9 +107,10 @@ struct RunArtifacts {
   std::size_t index_bad = 0;
 };
 
-RunArtifacts RunWorkload(Variant variant, std::size_t workers, bool parallel_tail,
-                         std::uint64_t seed) {
-  const DatabaseSpec spec = SpecFor(variant, workers, parallel_tail);
+// `sync` waits for every epoch's tail before the next ExecuteEpoch (the
+// caller-chosen barrier); otherwise each tail overlaps the next epoch.
+RunArtifacts RunWorkload(Variant variant, std::size_t workers, bool sync, std::uint64_t seed) {
+  const DatabaseSpec spec = SpecFor(variant, workers);
   NvmDevice device(ShadowDeviceConfig(spec));
   std::unique_ptr<NvmDevice> cold;
   if (variant == Variant::kColdTier) {
@@ -131,8 +127,12 @@ RunArtifacts RunWorkload(Variant variant, std::size_t workers, bool parallel_tai
 
   std::set<Key> dyn_live;
   for (std::size_t e = 0; e < kEpochs; ++e) {
-    db.ExecuteEpoch(MakeEpoch(seed, e, &dyn_live));
+    EXPECT_FALSE(db.ExecuteEpoch(MakeEpoch(seed, e, &dyn_live)).crashed);
+    if (sync) {
+      EXPECT_TRUE(db.WaitIdle().ok());
+    }
   }
+  EXPECT_TRUE(db.WaitIdle().ok());
 
   RunArtifacts out;
   out.state = core::CaptureState(db);
@@ -147,36 +147,39 @@ RunArtifacts RunWorkload(Variant variant, std::size_t workers, bool parallel_tai
 
 class ParallelTailTest : public ::testing::TestWithParam<Variant> {};
 
-// The oracle: the parallel tail at any worker count reaches the same logical
-// committed state as the serial tail.
+// The oracle: the 1-worker (serial) engine. At 4 workers the fanned-out
+// phases reach the same logical committed state, in both caller modes.
 TEST_P(ParallelTailTest, MatchesSerialTailOracle) {
   const Variant variant = GetParam();
-  const RunArtifacts serial = RunWorkload(variant, 1, /*parallel_tail=*/false, 7);
-  for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    const RunArtifacts parallel = RunWorkload(variant, workers, /*parallel_tail=*/true, 7);
+  const RunArtifacts serial = RunWorkload(variant, 1, /*sync=*/true, 7);
+  EXPECT_EQ(serial.index_bad, 0u);
+  for (const bool sync : {true, false}) {
+    const RunArtifacts parallel = RunWorkload(variant, 4, sync, 7);
+    EXPECT_EQ(core::StateHash(serial.state), core::StateHash(parallel.state)) << "sync=" << sync;
     std::string diff;
     EXPECT_EQ(core::DiffStates(serial.state, parallel.state, &diff), 0u)
-        << "workers=" << workers << "\n"
+        << "sync=" << sync << "\n"
         << diff;
-    EXPECT_EQ(parallel.index_bad, 0u) << "workers=" << workers;
+    EXPECT_EQ(parallel.index_bad, 0u) << "sync=" << sync;
   }
 }
 
-// Crash-ordering invariant: distributing the tail must not change what gets
-// persisted or how often the epoch fences — only how many clwb batches cover
-// the same lines (one per worker slice instead of one per region).
+// Crash-ordering invariant: the durable-write ledger is a function of the
+// workload and the worker count only. Waiting for every tail (barrier) or
+// overlapping it with the next epoch persists the same lines and bytes with
+// the same fences and clwb batches. Across worker counts the tail's fence
+// count differs exactly by its one fence per extra worker per epoch.
 TEST_P(ParallelTailTest, NvmCountsMatchSerialTail) {
   const Variant variant = GetParam();
+  const RunArtifacts serial = RunWorkload(variant, 1, /*sync=*/true, 11);
   for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    const RunArtifacts serial = RunWorkload(variant, workers, /*parallel_tail=*/false, 11);
-    const RunArtifacts parallel = RunWorkload(variant, workers, /*parallel_tail=*/true, 11);
-    EXPECT_EQ(serial.fences, parallel.fences) << "workers=" << workers;
-    EXPECT_EQ(serial.persisted_lines, parallel.persisted_lines) << "workers=" << workers;
-    EXPECT_EQ(serial.write_bytes, parallel.write_bytes) << "workers=" << workers;
-    EXPECT_GE(parallel.persist_ops, serial.persist_ops) << "workers=" << workers;
-    // The split is bounded: at most (workers - 1) extra slices per persisted
-    // region, and regions number far fewer than the serial op count.
-    EXPECT_LE(parallel.persist_ops, serial.persist_ops * workers) << "workers=" << workers;
+    const RunArtifacts barrier = RunWorkload(variant, workers, /*sync=*/true, 11);
+    const RunArtifacts overlapped = RunWorkload(variant, workers, /*sync=*/false, 11);
+    EXPECT_EQ(barrier.fences, overlapped.fences) << "workers=" << workers;
+    EXPECT_EQ(barrier.persisted_lines, overlapped.persisted_lines) << "workers=" << workers;
+    EXPECT_EQ(barrier.write_bytes, overlapped.write_bytes) << "workers=" << workers;
+    EXPECT_EQ(barrier.persist_ops, overlapped.persist_ops) << "workers=" << workers;
+    EXPECT_EQ(barrier.fences, serial.fences + (workers - 1) * kEpochs) << "workers=" << workers;
   }
 }
 
@@ -221,13 +224,16 @@ TEST(ParallelTailTest, ParallelInputLogImageIsByteIdentical) {
   EXPECT_EQ(decoded.size(), txns.size());
 }
 
-// Crash/recover at the parallel-only sites (hooks fire at workers == 1,
-// where CrashedException propagates from the inline closure).
-class ParallelTailCrashTest : public ::testing::TestWithParam<CrashSite> {};
+// Crash/recover inside the persistence tail: kMidOverlapTailPersist leaves
+// the pool checkpoints staged, unfenced, header not flipped;
+// kDuringIndexApply leaves the delta batch part-applied, slots tagged with
+// the uncheckpointed epoch. The caller waits for every tail, so the crash
+// surfaces in its own epoch.
+class TailSiteCrashTest : public ::testing::TestWithParam<CrashSite> {};
 
-TEST_P(ParallelTailCrashTest, CrashAtParallelSiteRecovers) {
+TEST_P(TailSiteCrashTest, CrashAtMappedSiteRecovers) {
   const CrashSite site = GetParam();
-  DatabaseSpec spec = SpecFor(Variant::kPersistentIndex, 1, /*parallel_tail=*/true);
+  DatabaseSpec spec = SpecFor(Variant::kPersistentIndex, 1);
 
   // Oracle: the same stream executed crash-free.
   OracleState expected;
@@ -244,6 +250,7 @@ TEST_P(ParallelTailCrashTest, CrashAtParallelSiteRecovers) {
     for (std::size_t e = 0; e < kEpochs; ++e) {
       db.ExecuteEpoch(MakeEpoch(21, e, &dyn_live));
     }
+    ASSERT_TRUE(db.WaitIdle().ok());
     expected = core::CaptureState(db);
   }
 
@@ -262,7 +269,7 @@ TEST_P(ParallelTailCrashTest, CrashAtParallelSiteRecovers) {
     db.SetCrashHook([&reached, site](CrashSite s) { return s == site && ++reached == 2; });
     std::set<Key> dyn_live;
     for (std::size_t e = 0; e < kEpochs; ++e) {
-      if (db.ExecuteEpoch(MakeEpoch(21, e, &dyn_live)).crashed) {
+      if (db.ExecuteEpoch(MakeEpoch(21, e, &dyn_live)).crashed || !db.WaitIdle().ok()) {
         crashed = true;
         crash_epoch = e;
         break;
@@ -294,9 +301,9 @@ TEST_P(ParallelTailCrashTest, CrashAtParallelSiteRecovers) {
   EXPECT_EQ(core::ValidatePersistentIndex(db, &index_diff), 0u) << index_diff;
 }
 
-INSTANTIATE_TEST_SUITE_P(NewSites, ParallelTailCrashTest,
-                         ::testing::Values(CrashSite::kMidParallelCheckpoint,
-                                           CrashSite::kMidParallelIndexApply));
+INSTANTIATE_TEST_SUITE_P(MappedSites, TailSiteCrashTest,
+                         ::testing::Values(CrashSite::kMidOverlapTailPersist,
+                                           CrashSite::kDuringIndexApply));
 
 }  // namespace
 }  // namespace nvc::test

@@ -1,13 +1,13 @@
 // Pipelined-vs-barrier equivalence (DESIGN.md section 13).
 //
-// Epoch pipelining overlaps epoch N+1's front half with epoch N's persistence
-// tail, but it must be a pure scheduling change: for any transaction stream
-// the pipelined engine has to produce the same logical state, the same
-// persisted NVMM image, and the same device line/fence ledger as the barrier
-// engine. This suite proves that across the feature matrix (persistent
-// index, cold tier, instant recovery, multi-worker), then crashes inside the
-// overlap window at both new sites and checks recovery lands on the barrier
-// reference state.
+// The engine overlaps epoch N+1's front half with epoch N's persistence
+// tail; a caller that wants barrier semantics calls WaitIdle() after every
+// ExecuteEpoch. The overlap must be a pure scheduling change: for any
+// transaction stream both callers have to see the same logical state, the
+// same persisted NVMM image, and the same device line/fence ledger. This
+// suite proves that across the feature matrix (persistent index, cold tier,
+// instant recovery, multi-worker), then crashes inside the overlap window at
+// both sites and checks recovery lands on the barrier reference state.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -47,9 +47,8 @@ constexpr std::size_t kTxnsPerEpoch = 24;
 
 enum class Config { kDefault, kPindex, kColdTier, kInstant, kMultiWorker };
 
-DatabaseSpec SpecFor(Config config, bool pipelined) {
+DatabaseSpec SpecFor(Config config) {
   DatabaseSpec spec = SmallKvSpec(config == Config::kMultiWorker ? 4 : 1);
-  spec.enable_epoch_pipeline = pipelined;
   switch (config) {
     case Config::kDefault:
     case Config::kMultiWorker:
@@ -132,8 +131,9 @@ struct RunResult {
   std::vector<std::uint8_t> image;  // hot device after crash-revert (durable lines only)
 };
 
-RunResult RunStream(Config config, bool pipelined) {
-  const DatabaseSpec spec = SpecFor(config, pipelined);
+// `barrier` waits for every epoch's tail before submitting the next epoch.
+RunResult RunStream(Config config, bool barrier) {
+  const DatabaseSpec spec = SpecFor(config);
   NvmDevice device(ShadowDeviceConfig(spec));
   std::unique_ptr<NvmDevice> cold;
   if (spec.enable_cold_tier) {
@@ -148,9 +148,12 @@ RunResult RunStream(Config config, bool pipelined) {
     for (std::uint64_t e = 0; e < kEpochs; ++e) {
       const EpochResult result = db.ExecuteEpoch(MakeEpoch(e, &dyn_live));
       EXPECT_FALSE(result.crashed);
+      if (barrier) {
+        EXPECT_TRUE(db.WaitIdle().ok());
+      }
     }
     // Quiesce the asynchronous tail before reading any ledger: the barrier
-    // and pipelined engines must agree only at epoch durability points.
+    // and pipelined callers must agree only at epoch durability points.
     EXPECT_TRUE(db.WaitIdle().ok());
     out.state = core::CaptureState(db);
     std::string diff;
@@ -166,13 +169,11 @@ RunResult RunStream(Config config, bool pipelined) {
 
 class PipelineEquivalenceTest : public ::testing::TestWithParam<Config> {};
 
-// The tentpole equivalence claim: same logical state, same durable image,
-// same write/line/fence ledger. persist_ops is excluded by design — the
-// pipelined tail retires the execute phase's detached lines with the same
-// per-worker fence count but merges staged persists differently.
+// The equivalence claim: same logical state, same durable image, same
+// write/line/persist/fence ledger.
 TEST_P(PipelineEquivalenceTest, MatchesBarrierEngine) {
-  const RunResult barrier = RunStream(GetParam(), /*pipelined=*/false);
-  const RunResult pipelined = RunStream(GetParam(), /*pipelined=*/true);
+  const RunResult barrier = RunStream(GetParam(), /*barrier=*/true);
+  const RunResult pipelined = RunStream(GetParam(), /*barrier=*/false);
 
   std::string diff;
   EXPECT_EQ(core::DiffStates(barrier.state, pipelined.state, &diff), 0u) << diff;
@@ -180,6 +181,7 @@ TEST_P(PipelineEquivalenceTest, MatchesBarrierEngine) {
 
   EXPECT_EQ(barrier.counters.write_bytes, pipelined.counters.write_bytes);
   EXPECT_EQ(barrier.counters.persisted_lines, pipelined.counters.persisted_lines);
+  EXPECT_EQ(barrier.counters.persist_ops, pipelined.counters.persist_ops);
   EXPECT_EQ(barrier.counters.fences, pipelined.counters.fences);
 
   ASSERT_EQ(barrier.image.size(), pipelined.image.size());
@@ -204,9 +206,9 @@ class PipelineCrashTest
 // surfaces while epoch N+1's (cancelled) front half is running.
 TEST_P(PipelineCrashTest, RecoversToBarrierReference) {
   const auto [config, site] = GetParam();
-  const RunResult reference = RunStream(config, /*pipelined=*/false);
+  const RunResult reference = RunStream(config, /*barrier=*/true);
 
-  const DatabaseSpec spec = SpecFor(config, /*pipelined=*/true);
+  const DatabaseSpec spec = SpecFor(config);
   NvmDevice device(ShadowDeviceConfig(spec));
   std::unique_ptr<NvmDevice> cold;
   if (spec.enable_cold_tier) {
@@ -277,7 +279,7 @@ INSTANTIATE_TEST_SUITE_P(
 // invoke it from the tail thread) must be safe, and a clearing call must
 // leave no in-flight invocation behind. Run under TSan in CI.
 TEST(PipelineTest, CallbackSwapRacesTailSafely) {
-  const DatabaseSpec spec = SpecFor(Config::kDefault, /*pipelined=*/true);
+  const DatabaseSpec spec = SpecFor(Config::kDefault);
   NvmDevice device(ShadowDeviceConfig(spec));
   Database db(device, spec);
   db.Format();

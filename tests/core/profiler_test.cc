@@ -179,13 +179,7 @@ class JsonParser {
 class ProfilerTest : public ::testing::Test {
  protected:
   explicit ProfilerTest(std::size_t workers = 2)
-      : spec_(SmallKvSpec(workers)), device_(ShadowDeviceConfig(spec_)) {
-    // This suite validates the barrier engine's per-phase bracketing and the
-    // synchronous per-epoch NVM attribution. Under pipelining the persistence
-    // tail runs on the tail thread outside the driver's phase brackets (its
-    // coverage lives in pipeline_test and the tail-overlap report fields).
-    spec_.enable_epoch_pipeline = false;
-  }
+      : spec_(SmallKvSpec(workers)), device_(ShadowDeviceConfig(spec_)) {}
 
   void SetUp() override {
     db_ = std::make_unique<Database>(device_, spec_);
@@ -213,11 +207,14 @@ class ProfilerTest : public ::testing::Test {
     return txns;
   }
 
+  // Waits for every epoch's persistence tail (a barrier caller), so each
+  // tail's device traffic falls between two profiled epochs.
   void RunEpochs(std::size_t n) {
     for (std::size_t e = 0; e < n; ++e) {
       const EpochResult result = db_->ExecuteEpoch(MakeEpoch(e + 1));
       ASSERT_FALSE(result.crashed);
       ASSERT_EQ(result.committed, 48u);
+      ASSERT_TRUE(db_->WaitIdle().ok());
     }
   }
 
@@ -245,14 +242,14 @@ TEST_F(ProfilerTest, ReportCountsEpochsAndCorePhases) {
   EXPECT_TRUE(report.enabled);
   EXPECT_EQ(report.epochs, 3u);
   EXPECT_EQ(report.dropped_spans, 0u);
-  // Every epoch brackets these phases exactly once (checkpoint twice: before
-  // and after the GC-log slot, merged into one aggregate).
+  // Every epoch brackets these phases exactly once; the persistence tail
+  // records one tail-thread span per epoch, joined once per epoch.
   EXPECT_EQ(report.phase(Phase::kLogInputs).activations, 3u);
   EXPECT_EQ(report.phase(Phase::kInsert).activations, 3u);
   EXPECT_EQ(report.phase(Phase::kAppend).activations, 3u);
   EXPECT_EQ(report.phase(Phase::kExecute).activations, 3u);
-  EXPECT_EQ(report.phase(Phase::kCheckpoint).activations, 6u);
-  EXPECT_EQ(report.phase(Phase::kFinish).activations, 3u);
+  EXPECT_EQ(report.phase(Phase::kTailPersist).activations, 3u);
+  EXPECT_EQ(report.pipeline.tails, 3u);
   // The fan-out phases record one span per worker per activation.
   EXPECT_EQ(report.phase(Phase::kExecute).worker_spans, 3u * spec_.workers);
   EXPECT_GT(report.phase(Phase::kExecute).wall_ms, 0.0);
@@ -266,7 +263,7 @@ TEST_F(ProfilerTest, ReportCountsEpochsAndCorePhases) {
   // The table dump mentions every active phase.
   const std::string table = report.ToTable();
   EXPECT_NE(table.find("execute"), std::string::npos);
-  EXPECT_NE(table.find("checkpoint"), std::string::npos);
+  EXPECT_NE(table.find("tail-persist"), std::string::npos);
 }
 
 TEST_F(ProfilerTest, WorkerSpansAreSortedAndDisjoint) {
@@ -328,23 +325,24 @@ TEST_F(ProfilerTest, PerPhaseNvmDeltasSumToDeviceAndEngineTotals) {
   EXPECT_EQ(summed.nvm_fences, report.total.nvm_fences);
   EXPECT_EQ(summed.nvm_read_bytes, report.total.nvm_read_bytes);
 
-  // All device traffic in this window happened inside profiled epochs, so
-  // the attributed totals equal the raw device deltas...
-  EXPECT_EQ(report.total.nvm_write_lines, after.persisted_lines - before.persisted_lines);
-  EXPECT_EQ(report.total.nvm_persist_ops, after.persist_ops - before.persist_ops);
-  EXPECT_EQ(report.total.nvm_fences, after.fences - before.fences);
+  // The engine-stats mirror (populated by each tail) equals the raw device
+  // deltas...
+  EXPECT_EQ(db_->stats().nvm_write_lines.Sum(), after.persisted_lines - before.persisted_lines);
+  EXPECT_EQ(db_->stats().nvm_persist_ops.Sum(), after.persist_ops - before.persist_ops);
+  EXPECT_EQ(db_->stats().nvm_fences.Sum(), after.fences - before.fences);
+
+  // ...and everything outside the profiled epochs is the joined tails, which
+  // run on the tail thread without op attribution: each checkpoints and
+  // fences exactly once per worker (the execute phase's detached lines) plus
+  // once after the epoch-number flip, reading nothing.
+  EXPECT_LT(report.total.nvm_write_lines, after.persisted_lines - before.persisted_lines);
+  EXPECT_EQ(after.fences - before.fences - report.total.nvm_fences, 4u * (spec_.workers + 1));
   EXPECT_EQ(report.total.nvm_read_bytes, after.read_bytes - before.read_bytes);
   EXPECT_GT(report.total.nvm_write_lines, 0u);
-
-  // ...and the engine-stats mirror (populated at epoch end) agrees.
-  EXPECT_EQ(db_->stats().nvm_write_lines.Sum(), report.total.nvm_write_lines);
-  EXPECT_EQ(db_->stats().nvm_persist_ops.Sum(), report.total.nvm_persist_ops);
-  EXPECT_EQ(db_->stats().nvm_fences.Sum(), report.total.nvm_fences);
 
   // The phases that must persist data actually got attributed writes.
   EXPECT_GT(report.phase(Phase::kLogInputs).ops.nvm_write_lines, 0u);
   EXPECT_GT(report.phase(Phase::kExecute).ops.nvm_write_lines, 0u);
-  EXPECT_GT(report.phase(Phase::kCheckpoint).ops.nvm_fences, 0u);
 }
 
 TEST_F(ProfilerTest, ChromeTraceIsValidJsonWithRequiredKeys) {
@@ -390,13 +388,14 @@ TEST_F(ProfilerTest, ChromeTraceIsValidJsonWithRequiredKeys) {
     }
   }
   EXPECT_GT(complete_events, 0u);
-  // Thread-name metadata for the epoch track, driver track, and each worker.
-  EXPECT_EQ(metadata_events, 2u + spec_.workers);
+  // Thread-name metadata: the epoch and phase tracks, one track per worker,
+  // and the tail track.
+  EXPECT_EQ(metadata_events, 3u + spec_.workers);
 
   // Args carry the per-phase deltas on the driver track and the unattributed
   // remainder on the epoch track, so summing across the whole trace must
-  // reproduce the engine's total exactly.
-  EXPECT_EQ(trace_write_lines, db_->stats().nvm_write_lines.Sum());
+  // reproduce the profiled epochs' total exactly (tail spans carry no ops).
+  EXPECT_EQ(trace_write_lines, db_->ProfileReport().total.nvm_write_lines);
   EXPECT_GT(trace_write_lines, 0u);
 }
 

@@ -7,8 +7,8 @@
 //      phantom-safe by construction, so a scan must observe every
 //      smaller-SID write/insert of its own epoch and nothing larger.
 //   3. Determinism: identical streams with scans produce identical logical
-//      state across serial-tail, parallel-tail, pipelined, and multi-worker
-//      engines, and survive crash/recovery (including a crash during the
+//      state whether or not the caller waits for every epoch's tail, at 1
+//      and 4 workers, and survive crash/recovery (including a crash during the
 //      ordered-index rebuild inside Recover itself).
 //   4. Aria phantom validation: a smaller-SID write or execution-phase
 //      insert inside a scan's observed interval defers the scan; early-stop
@@ -245,12 +245,16 @@ std::vector<std::unique_ptr<txn::Transaction>> MixedEpoch(Rng& rng, std::set<Key
   return txns;
 }
 
-std::uint64_t RunMixedStream(DatabaseSpec spec, std::uint64_t seed) {
+// `barrier` waits for every epoch's tail before submitting the next epoch.
+std::uint64_t RunMixedStream(DatabaseSpec spec, std::uint64_t seed, bool barrier) {
   OrderedFixture f(std::move(spec));
   Rng rng(seed);
   std::set<Key> live;
   for (int epoch = 0; epoch < 6; ++epoch) {
     EXPECT_FALSE(f.db.ExecuteEpoch(MixedEpoch(rng, live)).crashed);
+    if (barrier) {
+      EXPECT_TRUE(f.db.WaitIdle().ok());
+    }
   }
   EXPECT_TRUE(f.db.WaitIdle().ok());
   std::string diff;
@@ -261,18 +265,10 @@ std::uint64_t RunMixedStream(DatabaseSpec spec, std::uint64_t seed) {
 TEST(RangeScanTest, IdenticalStateAcrossEngines) {
   const std::uint64_t seed = 0x5ca1ab1eULL;
 
-  DatabaseSpec pipelined = SmallKvSpec(1, true);
-  DatabaseSpec barrier = SmallKvSpec(1, true);
-  barrier.enable_epoch_pipeline = false;
-  DatabaseSpec serial = SmallKvSpec(1, true);
-  serial.enable_epoch_pipeline = false;
-  serial.enable_parallel_tail = false;
-  DatabaseSpec multi = SmallKvSpec(4, true);
-
-  const std::uint64_t reference = RunMixedStream(pipelined, seed);
-  EXPECT_EQ(RunMixedStream(barrier, seed), reference);
-  EXPECT_EQ(RunMixedStream(serial, seed), reference);
-  EXPECT_EQ(RunMixedStream(multi, seed), reference);
+  const std::uint64_t reference = RunMixedStream(SmallKvSpec(1, true), seed, /*barrier=*/true);
+  EXPECT_EQ(RunMixedStream(SmallKvSpec(1, true), seed, /*barrier=*/false), reference);
+  EXPECT_EQ(RunMixedStream(SmallKvSpec(4, true), seed, /*barrier=*/true), reference);
+  EXPECT_EQ(RunMixedStream(SmallKvSpec(4, true), seed, /*barrier=*/false), reference);
 }
 
 // ---- Crash recovery with scans in the stream -------------------------------
@@ -390,30 +386,39 @@ class AriaInsertTxn final : public txn::Transaction {
   std::uint64_t value_;
 };
 
-DatabaseSpec AriaOrderedSpec(bool pipelined) {
+DatabaseSpec AriaOrderedSpec() {
   DatabaseSpec spec = SmallKvSpec(/*workers=*/1, /*ordered=*/true);
   spec.concurrency = ConcurrencyControl::kAria;
-  spec.enable_epoch_pipeline = pipelined;
   return spec;
 }
 
-// The phantom regression proper, run on both the barrier and pipelined
-// engines: Aria scans read the previous-epoch snapshot, so a smaller-SID
+// Runs one epoch; a `barrier` caller also waits for its persistence tail.
+EpochResult Exec(Database& db, std::vector<std::unique_ptr<txn::Transaction>> txns,
+                 bool barrier) {
+  const EpochResult result = db.ExecuteEpoch(std::move(txns));
+  if (barrier) {
+    EXPECT_TRUE(db.WaitIdle().ok());
+  }
+  return result;
+}
+
+// The phantom regression proper, run with and without a caller barrier after
+// every epoch: Aria scans read the previous-epoch snapshot, so a smaller-SID
 // write inside the observed interval MUST defer the scan, and the deferred
 // re-run MUST observe that write.
-void RunAriaPhantomSuite(bool pipelined) {
+void RunAriaPhantomSuite(bool barrier) {
   {
     // (a) Smaller-SID update inside the scanned range defers the scan.
-    OrderedFixture f(AriaOrderedSpec(pipelined));
+    OrderedFixture f(AriaOrderedSpec());
     std::vector<std::unique_ptr<txn::Transaction>> txns;
     txns.push_back(std::make_unique<KvPutTxn>(5, 777));                    // sid 1
     txns.push_back(std::make_unique<KvScanSumTxn>(0, 15, 32, /*out=*/20));  // sid 2
-    const EpochResult first = f.db.ExecuteEpoch(std::move(txns));
+    const EpochResult first = Exec(f.db, std::move(txns), barrier);
     EXPECT_EQ(first.committed, 1u);
     EXPECT_EQ(first.deferred, 1u);
     EXPECT_EQ(ReadBytes(f.db, 0, 20).size(), 8u);  // scan has not committed
 
-    const EpochResult second = f.db.ExecuteEpoch({});
+    const EpochResult second = Exec(f.db, {}, barrier);
     EXPECT_EQ(second.committed, 1u);
     EXPECT_EQ(second.deferred, 0u);
     ScanFold fold;
@@ -424,11 +429,11 @@ void RunAriaPhantomSuite(bool pipelined) {
   }
   {
     // (b) Scan ahead of the writer commits against the snapshot.
-    OrderedFixture f(AriaOrderedSpec(pipelined));
+    OrderedFixture f(AriaOrderedSpec());
     std::vector<std::unique_ptr<txn::Transaction>> txns;
     txns.push_back(std::make_unique<KvScanSumTxn>(0, 15, 32, /*out=*/20));  // sid 1
     txns.push_back(std::make_unique<KvPutTxn>(5, 777));                    // sid 2
-    const EpochResult result = f.db.ExecuteEpoch(std::move(txns));
+    const EpochResult result = Exec(f.db, std::move(txns), barrier);
     EXPECT_EQ(result.committed, 2u);
     EXPECT_EQ(result.deferred, 0u);
     ScanFold fold;
@@ -442,15 +447,15 @@ void RunAriaPhantomSuite(bool pipelined) {
     // (c) A genuine phantom: an execution-phase insert lands inside an
     // interval the scan observed as EMPTY. The scan must defer and then see
     // the new key.
-    OrderedFixture f(AriaOrderedSpec(pipelined));
+    OrderedFixture f(AriaOrderedSpec());
     std::vector<std::unique_ptr<txn::Transaction>> txns;
     txns.push_back(std::make_unique<AriaInsertTxn>(40, 4242));               // sid 1
     txns.push_back(std::make_unique<KvScanSumTxn>(38, 44, 16, /*out=*/20));  // sid 2
-    const EpochResult first = f.db.ExecuteEpoch(std::move(txns));
+    const EpochResult first = Exec(f.db, std::move(txns), barrier);
     EXPECT_EQ(first.committed, 1u);
     EXPECT_EQ(first.deferred, 1u);
 
-    const EpochResult second = f.db.ExecuteEpoch({});
+    const EpochResult second = Exec(f.db, {}, barrier);
     EXPECT_EQ(second.committed, 1u);
     ScanFold fold;
     fold.RowU64(40, 4242);
@@ -459,11 +464,11 @@ void RunAriaPhantomSuite(bool pipelined) {
   {
     // (d) Early stop clamps the validated interval: a write beyond the
     // delivered prefix cannot have changed it, so the scan commits.
-    OrderedFixture f(AriaOrderedSpec(pipelined));
+    OrderedFixture f(AriaOrderedSpec());
     std::vector<std::unique_ptr<txn::Transaction>> txns;
     txns.push_back(std::make_unique<KvPutTxn>(12, 999));                        // sid 1
     txns.push_back(std::make_unique<KvScanSumTxn>(0, 15, /*limit=*/4, /*out=*/20));  // sid 2
-    const EpochResult result = f.db.ExecuteEpoch(std::move(txns));
+    const EpochResult result = Exec(f.db, std::move(txns), barrier);
     EXPECT_EQ(result.committed, 2u);
     EXPECT_EQ(result.deferred, 0u);
     ScanFold fold;
@@ -476,11 +481,11 @@ void RunAriaPhantomSuite(bool pipelined) {
 }
 
 TEST(RangeScanTest, AriaPhantomValidationBarrierEngine) {
-  RunAriaPhantomSuite(/*pipelined=*/false);
+  RunAriaPhantomSuite(/*barrier=*/true);
 }
 
 TEST(RangeScanTest, AriaPhantomValidationPipelinedEngine) {
-  RunAriaPhantomSuite(/*pipelined=*/true);
+  RunAriaPhantomSuite(/*barrier=*/false);
 }
 
 // ---- Spec validation ---------------------------------------------------------

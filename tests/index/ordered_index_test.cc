@@ -218,7 +218,6 @@ TEST(OrderedIndexTest, ClearAndAccounting) {
 // tail share no unsynchronized state.
 TEST(OrderedIndexTest, ScansRaceTheEpochPipeline) {
   core::DatabaseSpec spec = SmallKvSpec(/*workers=*/4, /*ordered=*/true);
-  ASSERT_TRUE(spec.enable_epoch_pipeline);
   sim::NvmDevice device(ShadowDeviceConfig(spec));
   core::Database db(device, spec);
   db.Format();

@@ -77,12 +77,10 @@ std::pair<Key, Key> CrossShardPair(const ShardedDatabase& db, Key limit) {
   return {0, 0};
 }
 
-TEST(ShardSpecTest, RejectsUnsupportedModesAndForcesSynchronousEpochs) {
+TEST(ShardSpecTest, RejectsUnsupportedModes) {
   DatabaseSpec base = SmallKvSpec();
-  base.enable_epoch_pipeline = true;
   base.enable_instant_recovery = true;
   const DatabaseSpec normalized = ShardedDatabase::ShardSpec(base);
-  EXPECT_FALSE(normalized.enable_epoch_pipeline);
   EXPECT_FALSE(normalized.enable_instant_recovery);
 
   DatabaseSpec aria = SmallKvSpec();
@@ -341,6 +339,54 @@ TEST(ShardedRecoveryTest, PostLogCrashReplaysTheCrashedGlobalEpoch) {
   const auto report = recovered->Recover(KvRegistry());
   ASSERT_TRUE(report.ok()) << report.status().message();
   EXPECT_TRUE(report->replayed);
+
+  std::string diff;
+  EXPECT_EQ(core::DiffShardedStates(CaptureShards(*reference.db),
+                                    CaptureShards(*recovered), &diff),
+            0u)
+      << diff;
+  EXPECT_EQ(recovered->current_epoch(), reference.db->current_epoch());
+}
+
+// Each shard runs its engine's persistence tail on the engine's tail thread
+// and waits for it before the global epoch returns. A crash inside one
+// shard's tail therefore surfaces in that same global epoch, and recovery
+// replays it on that shard only.
+TEST(ShardedRecoveryTest, TailCrashSurfacesInItsOwnGlobalEpoch) {
+  ShardedFixture crashed(2);
+  crashed.Load(32);
+  ShardedFixture reference(2);
+  reference.Load(32);
+
+  for (std::uint64_t e = 0; e < 2; ++e) {
+    ASSERT_FALSE(crashed.db->ExecuteEpoch(EpochBatch(*crashed.db, e)).crashed);
+    ASSERT_FALSE(reference.db->ExecuteEpoch(EpochBatch(*reference.db, e)).crashed);
+  }
+
+  crashed.db->SetCrashHook([](std::size_t shard, core::CrashSite site) {
+    return shard == 1 && site == core::CrashSite::kBeforeEpochPersist;
+  });
+  const Epoch crashed_epoch = crashed.db->current_epoch() + 1;
+  const auto result = crashed.db->ExecuteEpoch(EpochBatch(*crashed.db, 2));
+  EXPECT_TRUE(result.crashed);
+  EXPECT_EQ(result.epoch, crashed_epoch);
+  // The healthy shard's tail completed: its epoch is durable, the crashed
+  // shard's header still names the previous epoch.
+  EXPECT_EQ(crashed.db->shard(0).current_epoch(), crashed_epoch);
+  EXPECT_TRUE(crashed.db->shard(0).WaitIdle().ok());
+  EXPECT_FALSE(crashed.db->shard(1).WaitIdle().ok());
+  ASSERT_FALSE(reference.db->ExecuteEpoch(EpochBatch(*reference.db, 2)).crashed);
+
+  crashed.db.reset();
+  for (auto& device : crashed.owned) {
+    device->Crash();
+  }
+  auto recovered = std::make_unique<ShardedDatabase>(crashed.devices, crashed.base);
+  const auto report = recovered->Recover(KvRegistry());
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  EXPECT_TRUE(report->replayed);
+  EXPECT_FALSE(report->shards[0].replayed);
+  EXPECT_TRUE(report->shards[1].replayed);
 
   std::string diff;
   EXPECT_EQ(core::DiffShardedStates(CaptureShards(*reference.db),

@@ -112,6 +112,36 @@ TEST(SmallBankTest, MatchesSerialModel) {
   EXPECT_LT(aborted, 1500u);
 }
 
+// SmallBank loads its two tables interleaved, customer by customer. The
+// bulk-load core cursor is per table, so each table spreads over every
+// core's row-pool shard (a shared cursor pinned each table to half the cores
+// at 2 workers and exhausted its shards).
+TEST(SmallBankTest, InterleavedLoadFitsAtEveryWorkerCount) {
+  const SmallBankConfig config = TinyConfig();
+  for (std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
+    SmallBankWorkload workload(config);
+    const core::DatabaseSpec spec = workload.Spec(workers);
+    NvmDevice device(sim::NvmConfig{.size_bytes = Database::RequiredDeviceBytes(spec)});
+    Database db(device, spec);
+    db.Format();
+    ASSERT_NO_THROW(workload.Load(db)) << "workers=" << workers;
+    db.FinalizeLoad();
+    EXPECT_EQ(db.table_rows(kSavingsTable), config.customers);
+    EXPECT_EQ(db.table_rows(kCheckingTable), config.customers);
+
+    BankModel model(config);
+    for (int e = 0; e < 3; ++e) {
+      auto txns = workload.MakeEpoch(300);
+      for (const auto& txn : txns) {
+        model.Apply(*txn);
+      }
+      ASSERT_FALSE(db.ExecuteEpoch(std::move(txns)).crashed);
+    }
+    ASSERT_TRUE(db.WaitIdle().ok());
+    ExpectMatchesModel(db, model);
+  }
+}
+
 TEST(SmallBankTest, HotspotSkewMakesUpdatesTransient) {
   SmallBankWorkload workload(TinyConfig());
   core::DatabaseSpec spec = workload.Spec(1);

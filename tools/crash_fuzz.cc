@@ -19,13 +19,14 @@
 // or recovery repair logic. The tool reports per-site reach/fire counts so a
 // sweep that silently stopped exercising a recovery branch is visible.
 //
-// Epoch pipelining (on by default) moves the persistence tail onto an
-// asynchronous tail thread, so a tail-site crash surfaces on the NEXT
-// ExecuteEpoch (or at WaitIdle for the final epoch) while that epoch's front
-// half has already run and been cancelled. The harness therefore derives the
-// resume point from the recovered header instead of loop bookkeeping, and a
-// pair of barrier (pipeline-off) configurations keeps the synchronous serial
-// and parallel tails — and their parallel-only crash sites — exercised.
+// The engine runs each epoch's persistence tail on an asynchronous tail
+// thread, so a tail-site crash surfaces on the NEXT ExecuteEpoch (or at
+// WaitIdle for the final epoch) while that epoch's front half has already
+// run and been cancelled. The harness therefore derives the resume point
+// from the recovered header instead of loop bookkeeping. The barrier
+// configurations drive the engine caller-synchronously instead — WaitIdle
+// after every epoch, as the sharded engine does — so a tail crash surfaces
+// in its own epoch and that timing stays fuzzed too.
 //
 // Half of the runs (deterministically chosen from the run seed) drive the
 // crashing execution through the DbService group-commit front-end instead of
@@ -208,7 +209,19 @@ struct FuzzConfig {
   DatabaseSpec spec;
   bool cold = false;
   bool ordered = false;  // table 0 ordered: stream gains scan transactions
+  bool sync = false;     // caller-synchronous: WaitIdle after every epoch
 };
+
+// Runs one epoch; returns false when it crashed. A caller-synchronous config
+// also waits for the epoch's persistence tail, so a tail-site crash surfaces
+// in its own epoch.
+bool RunEpoch(Database& db, const FuzzConfig& config,
+              std::vector<std::unique_ptr<nvc::txn::Transaction>> txns) {
+  if (db.ExecuteEpoch(std::move(txns)).crashed) {
+    return false;
+  }
+  return !config.sync || db.WaitIdle().ok();
+}
 
 std::vector<FuzzConfig> BuildConfigs(bool smoke) {
   std::vector<FuzzConfig> configs;
@@ -257,21 +270,13 @@ std::vector<FuzzConfig> BuildConfigs(bool smoke) {
     spec.enable_persistent_index = true;
     configs.push_back({"ordered-pindex", spec, false, true});
   }
-  // Epoch pipelining is on by default, which routes the persistence tail
-  // through the tail thread; the barrier rows keep the synchronous serial and
-  // parallel tails recoverable (and are the only rows that can reach the
-  // parallel-only crash sites, just as the pipelined rows are the only ones
-  // reaching the two overlap sites).
+  // Barrier rows: the caller waits for every epoch's tail, so tail crashes
+  // surface in their own epoch instead of the next one's front half.
+  configs.push_back({"barrier", nvc::test::SmallKvSpec(), false, false, true});
   {
     DatabaseSpec spec = nvc::test::SmallKvSpec();
-    spec.enable_epoch_pipeline = false;
-    configs.push_back({"barrier", spec, false});
-  }
-  {
-    DatabaseSpec spec = nvc::test::SmallKvSpec();
-    spec.enable_epoch_pipeline = false;
     spec.enable_persistent_index = true;
-    configs.push_back({"barrier-pindex", spec, false});
+    configs.push_back({"barrier-pindex", spec, false, false, true});
   }
   if (!smoke) {
     {
@@ -294,34 +299,13 @@ std::vector<FuzzConfig> BuildConfigs(bool smoke) {
       DatabaseSpec mt = nvc::test::SmallKvSpec(/*workers=*/4);
       configs.push_back({"multi-worker", mt, false});
     }
-    // The legacy serial tail must stay recoverable while it remains an
-    // engine option (enable_parallel_tail = false). The parallel-only crash
-    // sites are simply never reached under these configs.
-    {
-      DatabaseSpec spec = nvc::test::SmallKvSpec();
-      spec.enable_parallel_tail = false;
-      configs.push_back({"serial-tail", spec, false});
-    }
-    {
-      DatabaseSpec spec = nvc::test::SmallKvSpec();
-      spec.enable_parallel_tail = false;
-      spec.enable_persistent_index = true;
-      configs.push_back({"serial-tail-pindex", spec, false});
-    }
     {
       DatabaseSpec spec = nvc::test::SmallKvSpec(/*workers=*/4, /*ordered=*/true);
       configs.push_back({"ordered-mt", spec, false, true});
     }
-    {
-      DatabaseSpec spec = nvc::test::SmallKvSpec(/*workers=*/1, /*ordered=*/true);
-      spec.enable_parallel_tail = false;
-      configs.push_back({"ordered-serial-tail", spec, false, true});
-    }
-    {
-      DatabaseSpec spec = nvc::test::SmallKvSpec(/*workers=*/1, /*ordered=*/true);
-      spec.enable_epoch_pipeline = false;
-      configs.push_back({"ordered-barrier", spec, false, true});
-    }
+    configs.push_back({"ordered-barrier",
+                       nvc::test::SmallKvSpec(/*workers=*/1, /*ordered=*/true), false, true,
+                       true});
   }
   return configs;
 }
@@ -353,18 +337,13 @@ std::uint64_t FireIndexBound(CrashSite site) {
       return 8;
     case CrashSite::kDuringIndexApply:
       return kEpochs * 8;
-    case CrashSite::kMidParallelIndexApply:
-      // Reached once per index delta (~18 per run); only the persistent-index
-      // configs reach it at all, so a tight bound keeps the smoke sweep's
-      // 3 armed runs firing reliably.
-      return kEpochs * 2;
     case CrashSite::kDuringGcPass2:
       return kEpochs * 4;
     case CrashSite::kDuringDemotion:
       return 3;
     case CrashSite::kMidOverlapExecute:
     case CrashSite::kMidOverlapTailPersist:
-      return kEpochs;  // once per pipelined epoch (front half / async tail)
+      return kEpochs;  // once per epoch (front half / async tail)
     default:
       return kEpochs;  // reached at most once per epoch: picks the epoch
   }
@@ -401,7 +380,7 @@ const OracleState& ReferenceState(const FuzzConfig& config, std::size_t config_i
   db.Format();
   LoadAll(db);
   for (const auto& epoch : stream) {
-    db.ExecuteEpoch(Materialize(epoch));
+    RunEpoch(db, config, Materialize(epoch));
   }
   return cache.emplace(std::make_pair(config_index, seed), nvc::core::CaptureState(db))
       .first->second;
@@ -497,13 +476,13 @@ std::string RunRecoverySiteCase(const FuzzConfig& config, std::size_t config_ind
     });
     bool crashed = false;
     for (std::size_t e = 0; e < stream.size(); ++e) {
-      if (db.ExecuteEpoch(Materialize(stream[e])).crashed) {
+      if (!RunEpoch(db, config, Materialize(stream[e]))) {
         crashed = true;
         break;
       }
     }
     if (!crashed && !db.WaitIdle().ok()) {
-      crashed = true;  // tail-site crash in the final epoch (pipelined)
+      crashed = true;  // tail-site crash in the final epoch
     }
     stats->coverage.Merge(db.crash_coverage());
     if (!crashed) {
@@ -538,7 +517,7 @@ std::string RunRecoverySiteCase(const FuzzConfig& config, std::size_t config_ind
         fired = true;
       }
     } else if (!report.replayed) {
-      db->ExecuteEpoch(Materialize(stream[crash_epoch]));
+      RunEpoch(*db, config, Materialize(stream[crash_epoch]));
     }
     stats->coverage.Merge(db->crash_coverage());
   }
@@ -556,7 +535,7 @@ std::string RunRecoverySiteCase(const FuzzConfig& config, std::size_t config_ind
         return "CompleteBackfill failed after double crash: " + st.message();
       }
     } else if (!report.replayed) {
-      db->ExecuteEpoch(Materialize(stream[crash_epoch]));
+      RunEpoch(*db, config, Materialize(stream[crash_epoch]));
     }
     stats->coverage.Merge(db->crash_coverage());
   } else {
@@ -564,7 +543,7 @@ std::string RunRecoverySiteCase(const FuzzConfig& config, std::size_t config_ind
   }
 
   for (std::size_t e = crash_epoch + 1; e < stream.size(); ++e) {
-    db->ExecuteEpoch(Materialize(stream[e]));
+    RunEpoch(*db, config, Materialize(stream[e]));
   }
   const std::string failure = DiffAgainstOracle(expected, *db, stats);
   if (verbose || !failure.empty()) {
@@ -623,13 +602,13 @@ std::string RunRebuildSiteCase(const FuzzConfig& config, std::size_t config_inde
     });
     bool crashed = false;
     for (std::size_t e = 0; e < stream.size(); ++e) {
-      if (db.ExecuteEpoch(Materialize(stream[e])).crashed) {
+      if (!RunEpoch(db, config, Materialize(stream[e]))) {
         crashed = true;
         break;
       }
     }
     if (!crashed && !db.WaitIdle().ok()) {
-      crashed = true;  // tail-site crash in the final epoch (pipelined)
+      crashed = true;  // tail-site crash in the final epoch
     }
     stats->coverage.Merge(db.crash_coverage());
     if (!crashed) {
@@ -669,10 +648,10 @@ std::string RunRebuildSiteCase(const FuzzConfig& config, std::size_t config_inde
     ++stats->missed_runs;
   }
   if (!replayed) {
-    db->ExecuteEpoch(Materialize(stream[crash_epoch]));
+    RunEpoch(*db, config, Materialize(stream[crash_epoch]));
   }
   for (std::size_t e = crash_epoch + 1; e < stream.size(); ++e) {
-    db->ExecuteEpoch(Materialize(stream[e]));
+    RunEpoch(*db, config, Materialize(stream[e]));
   }
   const std::string failure = DiffAgainstOracle(expected, *db, stats);
   if (verbose || !failure.empty()) {
@@ -704,7 +683,9 @@ std::string RunCase(const FuzzConfig& config, std::size_t config_index, std::uin
   const int mode = static_cast<int>(run_rng.NextBounded(3));
   const double keep = kKeepSweep[run_rng.NextBounded(5)];
   const std::uint64_t crash_seed = run_rng.Next();
-  const bool use_service = run_rng.NextBounded(2) == 1;
+  // Barrier rows always drive the engine directly: the service's pacer does
+  // not wait for each tail.
+  const bool use_service = run_rng.NextBounded(2) == 1 && !config.sync;
 
   NvmDevice device(nvc::test::ShadowDeviceConfig(config.spec));
   std::unique_ptr<NvmDevice> cold;
@@ -749,14 +730,14 @@ std::string RunCase(const FuzzConfig& config, std::size_t config_index, std::uin
       dbp = svc.TakeDatabase();
     } else {
       for (std::size_t e = 0; e < stream.size(); ++e) {
-        if (dbp->ExecuteEpoch(Materialize(stream[e])).crashed) {
+        if (!RunEpoch(*dbp, config, Materialize(stream[e]))) {
           crashed = true;
           break;
         }
       }
       if (!crashed && !dbp->WaitIdle().ok()) {
-        // Under pipelining a tail-site crash in the final epoch surfaces
-        // only when the asynchronous tail is joined.
+        // A tail-site crash in the final epoch surfaces only when the
+        // asynchronous tail is joined.
         crashed = true;
       }
     }
@@ -784,8 +765,8 @@ std::string RunCase(const FuzzConfig& config, std::size_t config_index, std::uin
     db = std::make_unique<Database>(device, config.spec, cold.get());
     const nvc::core::RecoveryReport report = db->Recover(nvc::test::KvRegistry()).value();
     // The resume point is derived from the durable image, not from loop
-    // bookkeeping: under pipelining a tail crash of epoch N surfaces while
-    // epoch N+1's (cancelled) front half is running, so the crashing loop's
+    // bookkeeping: a tail crash of epoch N can surface while epoch N+1's
+    // (cancelled) front half is running, so the crashing loop's
     // index can overshoot the epoch that actually lost its tail. stream[e]
     // ran as engine epoch e+2 (FinalizeLoad leaves the engine at epoch 1),
     // and a replay advances the recovered header by one.
@@ -800,7 +781,7 @@ std::string RunCase(const FuzzConfig& config, std::size_t config_index, std::uin
       }
     }
     for (std::size_t e = resume; e < stream.size(); ++e) {
-      db->ExecuteEpoch(Materialize(stream[e]));
+      RunEpoch(*db, config, Materialize(stream[e]));
     }
     if (db->instant_recovery_pending()) {
       // CaptureState reads the store directly (no on-demand redo), so a run
@@ -852,15 +833,15 @@ constexpr std::size_t kShardCount = 2;
 constexpr std::size_t kShardEpochs = 4;
 constexpr std::size_t kXfersPerEpoch = 4;
 
-// Engine sites reachable under the sharded spec (pipelining and instant
-// recovery are forced off; table 0 unordered; no persistent index) plus the
-// two shard-layer sites, which only this sweep can fire.
+// Engine sites reachable under the sharded spec (instant recovery forced
+// off; table 0 unordered; no persistent index; every shard waits for its
+// tail) plus the two shard-layer sites, which only this sweep can fire.
 constexpr CrashSite kShardedSites[] = {
     CrashSite::kAfterLog,          CrashSite::kAfterInsert,
     CrashSite::kDuringMajorGc,     CrashSite::kAfterGcPersist,
     CrashSite::kAfterAppend,       CrashSite::kMidExecution,
     CrashSite::kAfterExecution,    CrashSite::kBeforeEpochPersist,
-    CrashSite::kMidParallelCheckpoint,
+    CrashSite::kMidOverlapTailPersist,
     CrashSite::kMidShardExchange,  CrashSite::kMidShardEpochBarrier,
 };
 
