@@ -100,8 +100,9 @@ void CacheKAblation() {
 }  // namespace
 }  // namespace nvc::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace nvc::bench;
+  ParseBenchFlags(argc, argv);
   PrintHeader("Ablations", "design-choice and extension sweeps (beyond the paper's figures)");
   BatchAppendAblation();
   SelectiveCacheAblation();

@@ -65,8 +65,9 @@ void Run(ConcurrencyControl cc, std::uint32_t hot_ops) {
 }  // namespace
 }  // namespace nvc::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace nvc::bench;
+  ParseBenchFlags(argc, argv);
   PrintHeader("Extension",
               "Caracal vs Aria deterministic concurrency control (YCSB contention sweep)");
   for (const std::uint32_t hot_ops : {0u, 2u, 4u, 7u}) {

@@ -69,8 +69,9 @@ void Run(bool cold_tier, Epoch k) {
 }  // namespace
 }  // namespace nvc::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace nvc::bench;
+  ParseBenchFlags(argc, argv);
   PrintHeader("Extension", "cold tier on block storage: NVMM footprint vs throughput");
   Run(/*cold_tier=*/false, /*k=*/4);
   Run(/*cold_tier=*/true, /*k=*/4);

@@ -64,8 +64,9 @@ void RunSize(std::uint64_t rows) {
 }  // namespace
 }  // namespace nvc::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace nvc::bench;
+  ParseBenchFlags(argc, argv);
   PrintHeader("Extension", "recovery time: persistent NVMM index vs full row scan");
   RunSize(Scaled(30'000));
   RunSize(Scaled(120'000));

@@ -49,8 +49,9 @@ void RunModes(const char* label, MakeWorkload&& make_workload, std::size_t txns_
 }  // namespace
 }  // namespace nvc::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace nvc::bench;
+  ParseBenchFlags(argc, argv);
   using namespace nvc::workload;
   PrintHeader("Figure 10", "Failure-recovery support cost: NVCaracal vs no-logging vs all-DRAM");
 

@@ -91,8 +91,9 @@ void ZenRecoveryRow(const char* label, std::uint64_t rows, std::uint32_t value_s
 }  // namespace
 }  // namespace nvc::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace nvc::bench;
+  ParseBenchFlags(argc, argv);
   using namespace nvc::workload;
   PrintHeader("Figure 11",
               "Recovery time breakdown (crash at end of epoch, before checkpoint)");

@@ -80,8 +80,9 @@ void RunDataset(const char* dataset_label, std::uint64_t customers,
 }  // namespace
 }  // namespace nvc::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace nvc::bench;
+  ParseBenchFlags(argc, argv);
   PrintHeader("Figure 6",
               "SmallBank throughput: NVCaracal vs Zen (scaled: paper used 18M/180M customers)");
   std::printf("\n--- (a) default dataset ---\n");

@@ -29,8 +29,9 @@ void PrintMemory(const std::string& label, const core::MemoryBreakdown& memory) 
 }  // namespace
 }  // namespace nvc::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace nvc::bench;
+  ParseBenchFlags(argc, argv);
   using namespace nvc::workload;
   PrintHeader("Figure 8", "DRAM and NVMM consumption in NVCaracal");
 

@@ -51,8 +51,9 @@ void RunVariants(const char* label, Workload&& make_workload, std::size_t txns_p
 }  // namespace
 }  // namespace nvc::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace nvc::bench;
+  ParseBenchFlags(argc, argv);
   using namespace nvc::workload;
   PrintHeader("Figure 9", "Impact of minor GC and cached versions on throughput");
 

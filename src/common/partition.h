@@ -15,10 +15,17 @@
 
 namespace nvc {
 
+// Owning bucket of a (table, key) pair whose HashKey(table, key) the caller
+// already holds and reuses (the DRAM index probes its shard's slots with the
+// same hash).
+inline std::size_t PartitionOfHash(std::uint64_t hash, std::size_t partitions) {
+  return static_cast<std::size_t>(hash % partitions);
+}
+
 // Owning bucket of (table, key) among `partitions` equally-weighted buckets.
 // Pure function of its inputs: stable across runs, replicas, and recovery.
 inline std::size_t PartitionOf(TableId table, Key key, std::size_t partitions) {
-  return static_cast<std::size_t>(HashKey(table, key) % partitions);
+  return PartitionOfHash(HashKey(table, key), partitions);
 }
 
 }  // namespace nvc

@@ -1,5 +1,9 @@
 #include "src/index/table_index.h"
 
+#include <algorithm>
+
+#include "src/common/hash.h"
+
 namespace nvc::index {
 
 TableIndex::TableIndex(const TableSchema& schema, std::size_t shards)
@@ -10,28 +14,75 @@ TableIndex::TableIndex(const TableSchema& schema, std::size_t shards)
   }
 }
 
+std::size_t TableIndex::Shard::Probe(std::uint64_t hash, Key key) const {
+  const std::size_t mask = slots.size() - 1;
+  std::size_t i = Home(hash);
+  while (slots[i].entry != nullptr && slots[i].key != key) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+// Backward-shift deletion: walk the probe chain after the hole and move back
+// every slot whose home does not lie cyclically in (hole, slot].
+void TableIndex::Shard::Erase(std::size_t i, TableId table) {
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t j = (i + 1) & mask; slots[j].entry != nullptr; j = (j + 1) & mask) {
+    const std::size_t home = Home(HashKey(table, slots[j].key));
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      slots[i] = slots[j];
+      i = j;
+    }
+  }
+  slots[i] = Slot{};
+  --size;
+}
+
+void TableIndex::Shard::Grow(TableId table) {
+  std::vector<Slot> old = std::move(slots);
+  slots.assign(old.size() * 2, Slot{});
+  --shift;
+  const std::size_t mask = slots.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.entry == nullptr) {
+      continue;
+    }
+    std::size_t i = Home(HashKey(table, slot.key));
+    while (slots[i].entry != nullptr) {
+      i = (i + 1) & mask;
+    }
+    slots[i] = slot;
+  }
+}
+
 vstore::RowEntry* TableIndex::Get(Key key) {
-  Shard& shard = ShardFor(key);
+  const std::uint64_t hash = HashKey(schema_.id, key);
+  Shard& shard = ShardFor(hash);
   SpinLatchGuard guard(shard.latch);
-  auto it = shard.map.find(key);
-  return it == shard.map.end() ? nullptr : it->second;
+  return shard.slots[shard.Probe(hash, key)].entry;
 }
 
 vstore::RowEntry* TableIndex::GetOrCreate(Key key, bool* created) {
-  Shard& shard = ShardFor(key);
+  const std::uint64_t hash = HashKey(schema_.id, key);
+  Shard& shard = ShardFor(hash);
   vstore::RowEntry* entry = nullptr;
   {
     SpinLatchGuard guard(shard.latch);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
+    std::size_t i = shard.Probe(hash, key);
+    if (shard.slots[i].entry != nullptr) {
       *created = false;
-      return it->second;
+      return shard.slots[i].entry;
+    }
+    if ((shard.size + 1) * 4 > shard.slots.size() * 3) {
+      shard.Grow(schema_.id);
+      i = shard.Probe(hash, key);
     }
     shard.slab.emplace_back();
     entry = &shard.slab.back();
     entry->key = key;
     entry->table = schema_.id;
-    shard.map.emplace(key, entry);
+    shard.slots[i] = Slot{key, entry};
+    ++shard.size;
     *created = true;
   }
   if (schema_.ordered) {
@@ -42,10 +93,14 @@ vstore::RowEntry* TableIndex::GetOrCreate(Key key, bool* created) {
 }
 
 void TableIndex::Remove(Key key) {
-  Shard& shard = ShardFor(key);
+  const std::uint64_t hash = HashKey(schema_.id, key);
+  Shard& shard = ShardFor(hash);
   {
     SpinLatchGuard guard(shard.latch);
-    shard.map.erase(key);
+    const std::size_t i = shard.Probe(hash, key);
+    if (shard.slots[i].entry != nullptr) {
+      shard.Erase(i, schema_.id);
+    }
     // The slab entry is intentionally leaked until Clear(): execution-phase
     // readers may still hold the pointer until the epoch ends.
   }
@@ -91,8 +146,10 @@ std::uint64_t TableIndex::OrderedStructureHash() {
 void TableIndex::ForEach(const std::function<void(Key, vstore::RowEntry*)>& fn) {
   for (auto& shard : shards_) {
     SpinLatchGuard guard(shard->latch);
-    for (auto& [key, entry] : shard->map) {
-      fn(key, entry);
+    for (const Slot& slot : shard->slots) {
+      if (slot.entry != nullptr) {
+        fn(slot.key, slot.entry);
+      }
     }
   }
 }
@@ -100,16 +157,17 @@ void TableIndex::ForEach(const std::function<void(Key, vstore::RowEntry*)>& fn) 
 std::size_t TableIndex::entries() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard->map.size();
+    total += shard->size;
   }
   return total;
 }
 
 std::size_t TableIndex::ApproxBytes() const {
-  // Hash node (~56 B with bucket overhead) + RowEntry slab storage, plus the
-  // skiplist nodes when present.
-  const std::size_t per_entry = 56 + sizeof(vstore::RowEntry);
-  std::size_t total = entries() * per_entry;
+  std::size_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->slots.capacity() * sizeof(Slot) +
+             shard->slab.size() * sizeof(vstore::RowEntry);
+  }
   if (schema_.ordered) {
     total += ordered_.ApproxBytes();
   }
@@ -119,7 +177,8 @@ std::size_t TableIndex::ApproxBytes() const {
 void TableIndex::Clear() {
   for (auto& shard : shards_) {
     SpinLatchGuard guard(shard->latch);
-    shard->map.clear();
+    std::fill(shard->slots.begin(), shard->slots.end(), Slot{});
+    shard->size = 0;
     shard->slab.clear();
   }
   if (schema_.ordered) {

@@ -1,18 +1,20 @@
 // DRAM row index (paper section 4: "Currently, we store the row index in
 // DRAM for performance"; rebuilt from the persistent rows after a crash).
 //
-// Point lookups go through a sharded hash table. Tables that need range
-// operations (TPC-C order processing) additionally maintain an ordered map.
-// Structural changes (inserts/removals) happen only in the initialization
-// phase and at epoch boundaries, so execution-phase lookups are latch-free.
+// Point lookups go through a sharded open-addressing hash table, and every
+// point operation (Get included) takes its shard's spin latch. Structural
+// changes (inserts/removals) happen only in the insert step, at epoch
+// boundaries and during recovery, so an entry found during execution stays
+// valid until the epoch ends. Tables that need range operations (TPC-C
+// order processing) additionally maintain a skiplist.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/latch.h"
@@ -76,21 +78,44 @@ class TableIndex {
   // ---- Accounting ------------------------------------------------------------
 
   std::size_t entries() const;
-  // Approximate DRAM footprint of the index structures (figure 8).
+  // DRAM footprint of the index structures (figure 8): slot arrays at their
+  // capacity, the entry slabs (removed entries included until Clear), and
+  // the skiplist when present.
   std::size_t ApproxBytes() const;
 
   // Clears all entries (recovery rebuilds from the NVM scan).
   void Clear();
 
  private:
-  struct alignas(kCacheLineSize) Shard {
-    SpinLatch latch;
-    std::unordered_map<Key, vstore::RowEntry*> map;
-    std::deque<vstore::RowEntry> slab;  // stable addresses for entries
+  // One slot of a shard's linear-probing table. Key 0 is a valid key, so an
+  // empty slot is marked by a null entry.
+  struct Slot {
+    Key key = 0;
+    vstore::RowEntry* entry = nullptr;
   };
 
-  Shard& ShardFor(Key key) {
-    return *shards_[PartitionOf(schema_.id, key, shards_.size())];
+  // A shard owns a power-of-two slot array that grows at 3/4 load; erasure
+  // shifts the rest of the probe chain back, so there are no tombstones.
+  // The probe starts at the top bits of the same HashKey whose residue picks
+  // the shard, so each key is hashed once per operation.
+  struct alignas(kCacheLineSize) Shard {
+    static constexpr std::size_t kInitialSlots = 16;
+
+    SpinLatch latch;
+    std::vector<Slot> slots = std::vector<Slot>(kInitialSlots);
+    unsigned shift = 64 - std::countr_zero(kInitialSlots);  // 64 - log2(slots.size())
+    std::size_t size = 0;
+    std::deque<vstore::RowEntry> slab;  // stable addresses for entries
+
+    std::size_t Home(std::uint64_t hash) const { return hash >> shift; }
+    // Slot holding key, or the empty slot that ends its probe chain.
+    std::size_t Probe(std::uint64_t hash, Key key) const;
+    void Erase(std::size_t i, TableId table);
+    void Grow(TableId table);
+  };
+
+  Shard& ShardFor(std::uint64_t hash) {
+    return *shards_[PartitionOfHash(hash, shards_.size())];
   }
 
   TableSchema schema_;

@@ -187,6 +187,9 @@ void NvmDevice::ChargeSyntheticWrite(std::size_t n, std::size_t core) {
 
 void NvmDevice::WritePersist(std::uint64_t offset, const void* src, std::size_t n,
                              std::size_t core) {
+  if (n == 0) {
+    return;  // src may be null (an empty epoch's log payload)
+  }
   std::memcpy(base_ + offset, src, n);
   Persist(offset, n, core);
 }

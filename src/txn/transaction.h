@@ -91,7 +91,9 @@ class ExecContext {
   virtual int Read(TableId table, Key key, void* out, std::uint32_t cap) = 0;
 
   // Writes a declared key. The data becomes visible to later transactions
-  // immediately (early write visibility).
+  // immediately (early write visibility), so a transaction that writes a key
+  // more than once must write the same final value each time: a later
+  // transaction on another worker may already have read the earlier one.
   virtual void Write(TableId table, Key key, const void* data, std::uint32_t size) = 0;
 
   // Deletes a declared key (tombstone version).

@@ -226,6 +226,27 @@ TEST(NvmDeviceTest, ZeroLengthChargesAreFree) {
   EXPECT_EQ(device.stats().persist_ops.Sum(), 0u);
 }
 
+TEST(NvmDeviceTest, ZeroLengthWritePersistFromNullIsANoOp) {
+  // An empty epoch's log payload reaches WritePersist as (nullptr, 0); a
+  // memcpy from null is undefined even for zero bytes (UBSan reports it).
+  NvmDevice device(ShadowConfig());
+  const std::uint64_t value = 0x1122334455667788ULL;
+  device.WritePersist(128, &value, sizeof(value), 0);
+  device.Fence(0);
+  const std::uint64_t write_bytes = device.stats().write_bytes.Sum();
+  const std::uint64_t lines = device.stats().persisted_lines.Sum();
+  const std::uint64_t ops = device.stats().persist_ops.Sum();
+  device.WritePersist(128, nullptr, 0, 0);
+  device.Fence(0);
+  EXPECT_EQ(device.stats().write_bytes.Sum(), write_bytes);
+  EXPECT_EQ(device.stats().persisted_lines.Sum(), lines);
+  EXPECT_EQ(device.stats().persist_ops.Sum(), ops);
+  device.Crash();
+  std::uint64_t survived = 0;
+  std::memcpy(&survived, device.At(128), sizeof(survived));
+  EXPECT_EQ(survived, value);
+}
+
 TEST(NvmDeviceTest, TornCrashTearsOnlyStagedRanges) {
   NvmDevice device(ShadowConfig());
   // Line 0: dirty and staged (clwb issued, no fence) — eligible to survive.

@@ -2,6 +2,7 @@
 // bound, drop semantics (paper sections 4.2 and 5.2).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <deque>
 
 #include "src/vstore/version_cache.h"
@@ -25,6 +26,14 @@ struct CacheFixture {
   VersionCache cache;
 };
 
+// A cached value's bytes start 4 bytes into its block, so they are copied
+// out rather than read through a misaligned uint64_t pointer.
+std::uint64_t CachedU64(const RowEntry* row) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, row->cached.load()->data(), sizeof(value));
+  return value;
+}
+
 TEST(VersionCacheTest, PutAndReplace) {
   CacheFixture f(16, 2);
   RowEntry* row = f.NewRow();
@@ -33,12 +42,12 @@ TEST(VersionCacheTest, PutAndReplace) {
   EXPECT_EQ(f.cache.entries(), 1u);
   EXPECT_EQ(f.cache.bytes(), sizeof(v1));
   ASSERT_NE(row->cached.load(), nullptr);
-  EXPECT_EQ(*reinterpret_cast<const std::uint64_t*>(row->cached.load()->data()), 111u);
+  EXPECT_EQ(CachedU64(row), 111u);
 
   const std::uint64_t v2 = 222;
   ASSERT_TRUE(f.cache.Put(row, &v2, sizeof(v2), 6, 0));
   EXPECT_EQ(f.cache.entries(), 1u);  // in-place replacement
-  EXPECT_EQ(*reinterpret_cast<const std::uint64_t*>(row->cached.load()->data()), 222u);
+  EXPECT_EQ(CachedU64(row), 222u);
   EXPECT_EQ(row->cache_epoch.load(), 6u);
 }
 
