@@ -420,36 +420,7 @@ void Database::Format() {
 
 void Database::BulkLoad(TableId table, Key key, const void* data, std::uint32_t size) {
   assert(!loaded_ && "BulkLoad after FinalizeLoad");
-  const std::size_t core = load_rr_[table]++ % spec_.workers;
-  const std::uint64_t prow_off = row_pools_[table]->Alloc(core);
-  if (prow_off == 0) {
-    throw std::runtime_error("BulkLoad: row pool exhausted for table " +
-                             spec_.tables[table].name);
-  }
-  vstore::PersistentRow row(device_, prow_off, spec_.tables[table].row_size);
-  row.Init(table, key);
-
-  vstore::ValueLoc loc = row.FindInlineSpace(size);
-  if (loc.is_null()) {
-    loc = AllocValue(size, core);
-    device_.WritePersist(loc.offset(), data, size, core);
-  } else {
-    std::memcpy(device_.At(loc.offset()), data, size);
-  }
-  row.header()->v[0].sid = kLoadSid.raw();
-  row.header()->v[0].loc = loc.raw();
-  // One persist covers the header and any inline value.
-  device_.Persist(prow_off, spec_.tables[table].row_size, core);
-
-  bool created = false;
-  vstore::RowEntry* entry = tables_[table]->GetOrCreate(key, &created);
-  assert(created && "BulkLoad: duplicate key");
-  entry->prow = prow_off;
-  entry->latest_sid.store(kLoadSid.raw(), std::memory_order_relaxed);
-  if (spec_.enable_persistent_index) {
-    core_state_[core].index_deltas.push_back(
-        IndexDelta{.table = table, .is_delete = false, .key = key, .prow = prow_off});
-  }
+  InsertRowInternal(table, key, data, size, kLoadSid, load_rr_[table]++ % spec_.workers);
 }
 
 void Database::FinalizeLoad() {

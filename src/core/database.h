@@ -568,6 +568,9 @@ class Database {
   bool MaybeCrash(CrashSite site);
 
   // ---- Row operations (epoch.cc) --------------------------------------------
+  // The one row-creation path (insert step, Aria commit, replay, BulkLoad):
+  // allocates and initializes the row, places the value inline or in the
+  // value pool, stores version 0 and persists only the bytes it wrote.
   vstore::RowEntry* InsertRowInternal(TableId table, Key key, const void* data,
                                       std::uint32_t size, Sid sid, std::size_t core);
   void DeclareWrite(TxnState& st, TableId table, Key key, std::size_t core);

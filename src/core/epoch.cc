@@ -510,14 +510,15 @@ void Database::RunMajorGc() {
       if (v1.sid == 0 || vstore::ValueLoc(v1.loc).is_null()) {
         continue;
       }
-      row.WriteDesc(0, Sid(v1.sid), vstore::ValueLoc(v1.loc), w);
+      row.StoreDesc(0, Sid(v1.sid), vstore::ValueLoc(v1.loc));
       if (hook_pass2) {
         // Crash with aliased descriptors: v0 == v1 and the reset still
         // pending — recovery must take the "already collected" repair branch
         // instead of freeing the live value.
         MaybeCrash(CrashSite::kDuringGcPass2);
       }
-      row.WriteDesc(1, Sid(0), vstore::ValueLoc{}, w);
+      row.StoreDesc(1, Sid(0), vstore::ValueLoc{});
+      row.PersistDescs(0, 1, w);  // one persist covers both stores' line
       stats_.major_gc_runs.Add(w);
     }
     pending_major_gc_[w].clear();
@@ -833,11 +834,15 @@ vstore::RowEntry* Database::InsertRowInternal(TableId table, Key key, const void
                                               std::uint32_t size, Sid sid, std::size_t core) {
   const std::uint64_t prow_off = row_pools_[table]->Alloc(core);
   if (prow_off == 0) {
-    throw std::runtime_error("insert: row pool exhausted for table " + spec_.tables[table].name);
+    throw std::runtime_error("row pool exhausted for table " + spec_.tables[table].name);
   }
   vstore::PersistentRow row(device_, prow_off, spec_.tables[table].row_size);
   row.Init(table, key);
 
+  // The row persist covers the header, plus the inline value bytes when the
+  // value lives in the row; the rest of the inline heap holds no referenced
+  // bytes.
+  std::uint64_t persist_end = prow_off + vstore::kRowHeaderSize;
   if (data != nullptr) {
     vstore::ValueLoc loc = row.FindInlineSpace(size);
     if (loc.is_null()) {
@@ -845,13 +850,14 @@ vstore::RowEntry* Database::InsertRowInternal(TableId table, Key key, const void
       device_.WritePersist(loc.offset(), data, size, core);
     } else {
       std::memcpy(device_.At(loc.offset()), data, size);
+      persist_end = loc.offset() + size;  // inline values follow the header
     }
-    row.header()->v[0].sid = sid.raw();
-    row.header()->v[0].loc = loc.raw();
-    stats_.persistent_writes.Add(core);
+    row.StoreDesc(0, sid, loc);
+    if (loaded_) {
+      stats_.persistent_writes.Add(core);  // bulk-loaded rows are not final writes
+    }
   }
-  // One persist covers the header and any inline value bytes.
-  device_.Persist(prow_off, spec_.tables[table].row_size, core);
+  device_.Persist(prow_off, persist_end - prow_off, core);
 
   bool created = false;
   vstore::RowEntry* entry = tables_[table]->GetOrCreate(key, &created);
@@ -1272,6 +1278,16 @@ void Database::PersistFinalImpl(vstore::RowEntry* entry, Sid sid, const void* da
   vstore::VersionDesc v0 = row.ReadDesc(0);
   vstore::VersionDesc v1 = row.ReadDesc(1);
 
+  // Descriptor stores below keep their order; one persist of the slots they
+  // touched follows the final store (they share one cache line).
+  int first_slot = 1;
+  int last_slot = 0;
+  const auto store_desc = [&](int slot, Sid desc_sid, vstore::ValueLoc desc_loc) {
+    row.StoreDesc(slot, desc_sid, desc_loc);
+    first_slot = std::min(first_slot, slot);
+    last_slot = std::max(last_slot, slot);
+  };
+
   if (replay && v1.sid == sid.raw()) {
     // Crash-repair case 3: this transaction already claimed slot 1 before
     // the crash. Its value-pool allocation was reverted with the allocator
@@ -1280,7 +1296,7 @@ void Database::PersistFinalImpl(vstore::RowEntry* entry, Sid sid, const void* da
     // paper: "the transaction overwrites the version, thus updating the
     // pointer") and write a freshly allocated value below.
     if (!vstore::ValueLoc(v1.loc).is_null()) {
-      row.WriteDesc(1, sid, vstore::ValueLoc{}, core);
+      store_desc(1, sid, vstore::ValueLoc{});
     }
     v1 = vstore::VersionDesc{};
   }
@@ -1297,8 +1313,8 @@ void Database::PersistFinalImpl(vstore::RowEntry* entry, Sid sid, const void* da
     assert(vstore::ValueLoc(v0.loc).is_inline() || vstore::ValueLoc(v0.loc).is_null() ||
            v0.loc == v1.loc);
     stats_.minor_gc_runs.Add(core);
-    row.WriteDesc(0, Sid(v1.sid), vstore::ValueLoc(v1.loc), core);
-    row.WriteDesc(1, Sid(0), vstore::ValueLoc{}, core);
+    store_desc(0, Sid(v1.sid), vstore::ValueLoc(v1.loc));
+    store_desc(1, Sid(0), vstore::ValueLoc{});
     target = 1;
   } else if (v0.sid != 0) {
     target = 1;  // single version lives in slot 0; the new one goes above it
@@ -1311,7 +1327,8 @@ void Database::PersistFinalImpl(vstore::RowEntry* entry, Sid sid, const void* da
     loc = AllocValue(size, core);
   }
   row.WriteValue(loc, data, size, core);
-  row.WriteDesc(target, sid, loc, core);
+  store_desc(target, sid, loc);
+  row.PersistDescs(first_slot, last_slot, core);
 
   // GC bookkeeping for the next epoch: if the row now carries two versions
   // and the stale one cannot be minor-collected at the next write (it is not

@@ -10,11 +10,16 @@
 //   * an inline heap; values small enough are stored inline to improve
 //     locality and avoid allocating from the persistent value pool.
 //
-// A descriptor update always writes the SID before the location word, each
-// persisted in order, so recovery can disambiguate the three intervening
-// crash cases of section 4.5.
+// A descriptor update always stores the SID before the location word. Both
+// descriptors share one cache line, and stores within a line reach NVM in
+// program order, so any write-back exposes a prefix of the store sequence and
+// recovery can disambiguate the three intervening crash cases of section
+// 4.5. No fence separates descriptor stores: durability comes from the epoch
+// tail's fence, so one persist of the touched slots per row operation is
+// enough (DESIGN.md, "One persist per touched line").
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -108,18 +113,31 @@ class PersistentRow {
 
   VersionDesc ReadDesc(int slot) const { return header()->v[slot]; }
 
-  // Writes a descriptor honoring the SID-before-location *store* order: both
+  // Stores a descriptor honoring the SID-before-location store order: both
   // words share a cache line, so any write-back of that line (explicit or
   // natural eviction on real hardware) exposes (old,old), (new,old) or
   // (new,new) but never (old,new) — the property the crash-repair cases of
-  // section 4.5 rely on. One persist covers the line.
-  void WriteDesc(int slot, Sid sid, ValueLoc loc, std::size_t core) {
+  // section 4.5 rely on. Does not persist: a row operation stores every slot
+  // it changes, then calls PersistDescs once for the touched range.
+  void StoreDesc(int slot, Sid sid, ValueLoc loc) {
     PersistentRowHeader* h = header();
     h->v[slot].sid = sid.raw();
     std::atomic_signal_fence(std::memory_order_seq_cst);  // keep the store order
     h->v[slot].loc = loc.raw();
-    device_->Persist(offset_ + offsetof(PersistentRowHeader, v) + slot * sizeof(VersionDesc),
-                     sizeof(VersionDesc), core);
+  }
+
+  // Persists descriptor slots [first, last]: 16 B for one slot, 32 B for
+  // both, always within the row's first cache line.
+  void PersistDescs(int first, int last, std::size_t core) {
+    device_->Persist(offset_ + offsetof(PersistentRowHeader, v) + first * sizeof(VersionDesc),
+                     (last - first + 1) * sizeof(VersionDesc), core);
+  }
+
+  // StoreDesc plus its own persist, for standalone descriptor updates
+  // (recovery repairs, cold-tier demotion).
+  void WriteDesc(int slot, Sid sid, ValueLoc loc, std::size_t core) {
+    StoreDesc(slot, sid, loc);
+    PersistDescs(slot, slot, core);
   }
 
   // The latest version with sid <= bound (recovery uses the last

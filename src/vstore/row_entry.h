@@ -29,6 +29,9 @@ struct CachedValue {
 struct RowEntry {
   Key key = 0;
   TableId table = 0;
+  // True while one of the VersionCache's eviction lists references this
+  // entry (the list owns at most one reference per entry). Fills padding.
+  bool cache_listed = false;
 
   // NVM offset of the persistent row (never 0 for a live entry).
   std::uint64_t prow = 0;

@@ -34,8 +34,13 @@ bool VersionCache::Put(RowEntry* entry, const void* data, std::uint32_t size, Ep
       return false;  // cache full; skip (evictions happen per epoch)
     }
     entries_.fetch_add(1, std::memory_order_relaxed);
-    // A new cached value joins the eviction list of its creation epoch.
-    lists_[core].by_epoch[now].push_back(entry);
+    // A new cached value joins the eviction list of its creation epoch,
+    // unless the entry is still listed from before a Drop: that reference
+    // sits in an older list and is deferred to `now` when processed.
+    if (!entry->cache_listed) {
+      entry->cache_listed = true;
+      lists_[core].by_epoch[now].push_back(entry);
+    }
   } else {
     bytes_.fetch_sub(existing->size, std::memory_order_relaxed);
     CachedValue::Deallocate(existing);
@@ -56,8 +61,18 @@ void VersionCache::Drop(RowEntry* entry) {
     entries_.fetch_sub(1, std::memory_order_relaxed);
     CachedValue::Deallocate(value);
   }
-  // Any eviction-list membership becomes a harmless stale reference; the
-  // eviction pass skips entries whose cached pointer is already null.
+  // The entry stays listed: the eviction pass unlists it if it is still
+  // uncached then, and a Put before that reuses the existing reference.
+}
+
+std::size_t VersionCache::list_references() const {
+  std::size_t n = 0;
+  for (const CoreLists& lists : lists_) {
+    for (const auto& [epoch, rows] : lists.by_epoch) {
+      n += rows.size();
+    }
+  }
+  return n;
 }
 
 void VersionCache::EvictForEpoch(Epoch now, EngineStats* stats,
@@ -73,7 +88,8 @@ void VersionCache::EvictForEpoch(Epoch now, EngineStats* stats,
       for (RowEntry* entry : rows) {
         CachedValue* value = entry->cached.load(std::memory_order_relaxed);
         if (value == nullptr) {
-          continue;  // dropped or already evicted via a duplicate reference
+          entry->cache_listed = false;  // dropped and not re-cached since
+          continue;
         }
         const Epoch last_access = entry->cache_epoch.load(std::memory_order_relaxed);
         if (last_access > target) {
@@ -82,6 +98,7 @@ void VersionCache::EvictForEpoch(Epoch now, EngineStats* stats,
           continue;
         }
         entry->cached.store(nullptr, std::memory_order_relaxed);
+        entry->cache_listed = false;
         bytes_.fetch_sub(value->size, std::memory_order_relaxed);
         entries_.fetch_sub(1, std::memory_order_relaxed);
         CachedValue::Deallocate(value);

@@ -55,6 +55,8 @@ class VersionCache {
   std::size_t entries() const { return entries_.load(std::memory_order_relaxed); }
   std::size_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
   Epoch k() const { return k_; }
+  // Entry references held by the eviction lists (at most one per entry).
+  std::size_t list_references() const;
 
  private:
   struct alignas(kCacheLineSize) CoreLists {

@@ -131,5 +131,96 @@ TEST_F(DatabaseBasicTest, OnlyFinalWritePersisted) {
   EXPECT_EQ(ReadU64(*db_, 0, 0), 9u);
 }
 
+constexpr txn::TxnType kSizedInsertType = 100;  // never replayed: not registered
+
+// Inserts a row holding `size` deterministic bytes in the insert step.
+class SizedInsertTxn final : public txn::Transaction {
+ public:
+  SizedInsertTxn(Key key, std::uint32_t size) : key_(key), size_(size) {}
+  txn::TxnType type() const override { return kSizedInsertType; }
+  void EncodeInputs(BinaryWriter& w) const override {
+    w.Put(key_);
+    w.Put(size_);
+  }
+  void InsertStep(txn::InsertContext& ctx) override {
+    const std::vector<std::uint8_t> data = KvVarPutTxn::Pattern(key_, size_, 1);
+    ctx.InsertRow(0, key_, data.data(), size_);
+  }
+  void Execute(txn::ExecContext&) override {}
+
+ private:
+  Key key_;
+  std::uint32_t size_;
+};
+
+// NVM ledger of single row operations: each row operation persists every
+// cache line it touched once, and only the bytes it wrote. Runs one
+// transaction per epoch and reads the profiler's per-phase device deltas.
+class RowLedgerTest : public DatabaseBasicTest {
+ protected:
+  OpCounters RunOne(std::unique_ptr<txn::Transaction> txn, Phase phase) {
+    db_->ConfigureProfiler(ProfilerConfig{.enabled = true});
+    std::vector<std::unique_ptr<txn::Transaction>> txns;
+    txns.push_back(std::move(txn));
+    const EpochResult result = db_->ExecuteEpoch(std::move(txns));
+    EXPECT_EQ(result.committed, 1u);
+    EXPECT_TRUE(db_->WaitIdle().ok());
+    const OpCounters ops = db_->ProfileReport().phase(phase).ops;
+    db_->ConfigureProfiler(ProfilerConfig{});
+    return ops;
+  }
+
+  static std::uint64_t Lines(std::uint64_t bytes) {
+    return (bytes + kCacheLineSize - 1) / kCacheLineSize;
+  }
+};
+
+TEST_F(RowLedgerTest, PlainFinalWritePersistsOneDescriptorSlot) {
+  Load(1);  // v0 inline at the heap start
+  const OpCounters ops = RunOne(std::make_unique<KvPutTxn>(0, 7), Phase::kExecute);
+  // The 16 B slot-1 descriptor (one line) plus the 8 B inline value (one line).
+  EXPECT_EQ(ops.nvm_write_bytes, 16u + 8u);
+  EXPECT_EQ(ops.nvm_write_lines, 2u);
+  EXPECT_EQ(ops.nvm_persist_ops, 2u);
+  EXPECT_EQ(ReadU64(*db_, 0, 0), 7u);
+}
+
+TEST_F(RowLedgerTest, MinorGcFinalWritePersistsTheDescriptorLineOnce) {
+  Load(1);
+  RunOne(std::make_unique<KvPutTxn>(0, 7), Phase::kExecute);  // row now holds two versions
+  db_->stats().Reset();
+  const OpCounters ops = RunOne(std::make_unique<KvPutTxn>(0, 9), Phase::kExecute);
+  ASSERT_EQ(db_->stats().minor_gc_runs.Sum(), 1u);
+  // Minor GC's copy and reset and the final descriptor share one 32 B
+  // persist of the descriptor line; the value adds its own line.
+  EXPECT_EQ(ops.nvm_write_bytes, 32u + 8u);
+  EXPECT_EQ(ops.nvm_write_lines, 2u);
+  EXPECT_EQ(ops.nvm_persist_ops, 2u);
+  EXPECT_EQ(ReadU64(*db_, 0, 0), 9u);
+}
+
+TEST_F(RowLedgerTest, InsertPersistsHeaderAndInlineValueOnly) {
+  Load(1);
+  for (const std::uint32_t size : {8u, 60u, 100u, 168u}) {
+    const Key key = 100 + size;
+    const OpCounters ops = RunOne(std::make_unique<SizedInsertTxn>(key, size), Phase::kInsert);
+    EXPECT_EQ(ops.nvm_write_bytes, vstore::kRowHeaderSize + size) << "size " << size;
+    EXPECT_EQ(ops.nvm_write_lines, Lines(vstore::kRowHeaderSize + size)) << "size " << size;
+    EXPECT_EQ(ops.nvm_persist_ops, 1u) << "size " << size;
+    EXPECT_EQ(ReadBytes(*db_, 0, key), KvVarPutTxn::Pattern(key, size, 1)) << "size " << size;
+  }
+}
+
+TEST_F(RowLedgerTest, InsertWithOutOfLineValuePersistsTheHeaderOnly) {
+  Load(1);
+  const std::uint32_t size = 200;  // > 168 B inline heap
+  const OpCounters ops = RunOne(std::make_unique<SizedInsertTxn>(7, size), Phase::kInsert);
+  // Two header lines for the row, plus the value's own lines in the pool.
+  EXPECT_EQ(ops.nvm_write_bytes, vstore::kRowHeaderSize + size);
+  EXPECT_EQ(ops.nvm_write_lines, 2u + Lines(size));
+  EXPECT_EQ(ops.nvm_persist_ops, 2u);
+  EXPECT_EQ(ReadBytes(*db_, 0, 7), KvVarPutTxn::Pattern(7, size, 1));
+}
+
 }  // namespace
 }  // namespace nvc::test

@@ -129,6 +129,28 @@ TEST(VersionCacheTest, DropReleasesCapacityAndSurvivesStaleListEntries) {
   EXPECT_EQ(f.cache.entries(), 0u);
 }
 
+// A hot row is dropped by every epoch's append step and re-cached by its
+// final write. The eviction lists must keep one reference to it, not one per
+// epoch, and still age it out once it goes cold.
+TEST(VersionCacheTest, DropAndPutEveryEpochKeepsOneListReference) {
+  CacheFixture f(16, /*k=*/2);
+  RowEntry* hot = f.NewRow();
+  const std::uint64_t v = 7;
+  for (Epoch e = 1; e <= 150; ++e) {
+    f.cache.EvictForEpoch(e, nullptr);
+    f.cache.Drop(hot);
+    ASSERT_TRUE(f.cache.Put(hot, &v, sizeof(v), e, 0));
+    ASSERT_EQ(f.cache.list_references(), 1u) << "epoch " << e;
+  }
+  EXPECT_EQ(f.cache.entries(), 1u);
+  for (Epoch e = 151; e <= 153; ++e) {
+    f.cache.EvictForEpoch(e, nullptr);
+  }
+  EXPECT_EQ(hot->cached.load(), nullptr);
+  EXPECT_EQ(f.cache.entries(), 0u);
+  EXPECT_EQ(f.cache.list_references(), 0u);
+}
+
 TEST(VersionCacheTest, EvictionCountsStat) {
   CacheFixture f(16, 1);
   EngineStats stats;
